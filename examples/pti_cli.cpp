@@ -61,7 +61,11 @@
 // malformed arguments). Errors and diagnostics go to stderr; stdout carries
 // only the machine-readable results.
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -338,34 +342,52 @@ pti::Status ReadFile(const std::string& path, std::string* out) {
   return pti::Status::OK();
 }
 
-/// Writes `data` to `<path>.tmp`, then renames it over `path`, so an
-/// interrupted or failed write (crash, full disk) can never leave a torn
-/// file under the final name. Flush and close failures are real write
-/// failures (that is where buffered errors surface) and are propagated.
+/// Writes `data` to `<path>.tmp`, syncs it, renames it over `path`, then
+/// syncs the directory, so an interrupted or failed write (crash, power
+/// loss, full disk) can never leave a torn or empty file under the final
+/// name: without the first fsync the rename can reach the disk before the
+/// data does. Write, sync and close failures are real write failures (close
+/// is where some filesystems surface deferred errors) and are propagated.
 pti::Status WriteFile(const std::string& path, const std::string& data) {
   const std::string tmp = path + ".tmp";
-  errno = 0;
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return pti::Status::IOError("cannot write " + tmp + ": " +
-                                std::strerror(errno));
-  }
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.flush();
-  out.close();
-  if (!out) {
-    const std::string cause =
-        errno != 0 ? std::strerror(errno) : "write failed";
+  const auto fail = [&tmp](const std::string& what, int fd) {
+    const std::string cause = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
     std::remove(tmp.c_str());
-    return pti::Status::IOError("cannot write " + tmp + ": " + cause);
+    return pti::Status::IOError("cannot " + what + " " + tmp + ": " + cause);
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return fail("write", -1);
+  for (size_t done = 0; done < data.size();) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return fail("write", fd);
+    }
+    done += static_cast<size_t>(n);
   }
-  errno = 0;
+  if (::fsync(fd) != 0) return fail("sync", fd);
+  if (::close(fd) != 0) return fail("close", -1);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     const std::string cause = std::strerror(errno);
     std::remove(tmp.c_str());
     return pti::Status::IOError("cannot write " + path +
                                 " (rename from temporary): " + cause);
   }
+  // The rename itself is durable only once the directory entry is.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0             ? "/"
+                                                   : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
+    const std::string cause = std::strerror(errno);
+    if (dir_fd >= 0) ::close(dir_fd);
+    return pti::Status::IOError("cannot sync directory " + dir + " after " +
+                                "writing " + path + ": " + cause);
+  }
+  ::close(dir_fd);
   return pti::Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "core/serde.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -12,8 +13,10 @@
 #include <cerrno>
 #endif
 
+#ifndef PTI_HAVE_MMAP
 #include <fstream>
 #include <sstream>
+#endif
 
 namespace pti {
 namespace serde {
@@ -22,6 +25,8 @@ namespace {
 // magic + kind + version + section count.
 constexpr size_t kHeaderBytes = 16;
 constexpr size_t kChecksumBytes = 8;
+// v2 per-section header: u32 tag, u64 length.
+constexpr size_t kV2SectionHeaderBytes = 12;
 // v3 per-section header: u32 tag, u32 reserved zero, u64 length.
 constexpr size_t kV3SectionHeaderBytes = 16;
 // Far above anything an index writes; bounds hostile section counts before
@@ -32,6 +37,45 @@ constexpr uint32_t kMaxSections = 64;
 constexpr uint64_t kMinPositionBytes = 4 + 9;
 
 size_t PadTo8(size_t n) { return (8 - n % 8) % 8; }
+
+// Appends to a buffer reserved at its exact final size and folds each
+// appended byte into the FNV-1a checksum while the bytes are still in
+// cache, so a container is copied and hashed in one pass.
+class ChecksummingWriter {
+ public:
+  explicit ChecksummingWriter(size_t size) { out_.Reserve(size); }
+
+  void PutU32(uint32_t v) { Put(&v, sizeof(v)); }
+  void PutU64(uint64_t v) { Put(&v, sizeof(v)); }
+  void PutZeros(size_t n) {
+    static constexpr char kZeros[8] = {};
+    Put(kZeros, n);  // n < 8: only ever padding to the next multiple of 8
+  }
+
+  void Put(const void* p, size_t n) {
+    const char* src = static_cast<const char*>(p);
+    while (n > 0) {
+      const size_t chunk = std::min(n, kChunkBytes);
+      out_.PutRaw(src, chunk);
+      hash_ = Fnv1a64(src, chunk, hash_);
+      src += chunk;
+      n -= chunk;
+    }
+  }
+
+  /// Appends the checksum of everything written so far.
+  std::string Finish() && {
+    out_.PutU64(hash_);
+    return std::move(out_.Take());
+  }
+
+ private:
+  // Small enough that the hash re-reads what the copy just read from cache.
+  static constexpr size_t kChunkBytes = size_t{64} << 10;
+
+  Writer out_;
+  uint64_t hash_ = kFnv1a64Basis;
+};
 }  // namespace
 
 Blob::Blob(std::string data) : data_(std::move(data)) {}
@@ -78,6 +122,37 @@ StatusOr<BlobPtr> MapFile(const std::string& path) {
 }
 
 StatusOr<BlobPtr> ReadFileToBlob(const std::string& path) {
+#ifdef PTI_HAVE_MMAP
+  // One allocation at the file's size and one copy out of the page cache.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("open '" + path + "': " + std::strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const std::string cause = std::strerror(errno);
+    ::close(fd);
+    return Status::IOError("stat '" + path + "': " + cause);
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::read(fd, &data[done], data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const std::string cause = std::strerror(errno);
+      ::close(fd);
+      return Status::IOError("read '" + path + "': " + cause);
+    }
+    if (n == 0) break;  // the file shrank since fstat
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  data.resize(done);
+  // An empty file is an empty blob: short input is the container layer's
+  // diagnosis (Corruption), not an I/O failure.
+  return std::make_shared<const Blob>(std::move(data));
+#else
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::IOError("open '" + path + "': " + std::strerror(errno));
@@ -91,6 +166,7 @@ StatusOr<BlobPtr> ReadFileToBlob(const std::string& path) {
     return Status::IOError("read '" + path + "': " + std::strerror(errno));
   }
   return std::make_shared<const Blob>(std::move(buf).str());
+#endif
 }
 
 const char* KindName(IndexKind kind) {
@@ -110,32 +186,61 @@ const char* KindName(IndexKind kind) {
 }
 
 Writer& ContainerWriter::AddSection(uint32_t tag) {
-  sections_.emplace_back(tag, Writer(/*aligned=*/version_ >= 3));
-  return sections_.back().second;
+  sections_.push_back(Section{tag, Writer(/*aligned=*/version_ >= 3), {}});
+  return sections_.back().payload;
+}
+
+void ContainerWriter::AddStringsSection(uint32_t tag,
+                                        std::vector<std::string> strings) {
+  sections_.push_back(Section{tag, Writer(/*aligned=*/version_ >= 3),
+                              std::move(strings)});
 }
 
 std::string ContainerWriter::Finish() && {
-  Writer out;
+  const bool v3 = version_ >= 3;
+  // Exact payload lengths first, so the output is allocated once. A string
+  // costs what Writer::PutString spends on it: alignment padding (v3),
+  // the u64 length, the bytes.
+  std::vector<uint64_t> lengths;
+  lengths.reserve(sections_.size());
+  size_t total = kHeaderBytes + kChecksumBytes;
+  for (const Section& s : sections_) {
+    size_t len = s.payload.size();
+    for (const std::string& str : s.strings) {
+      len += (v3 ? PadTo8(len) : 0) + sizeof(uint64_t) + str.size();
+    }
+    lengths.push_back(len);
+    total += v3 ? kV3SectionHeaderBytes + len + PadTo8(len)
+                : kV2SectionHeaderBytes + len;
+  }
+
+  ChecksummingWriter out(total);
   out.PutU32(kContainerMagic);
   out.PutU32(static_cast<uint32_t>(kind_));
   out.PutU32(version_);
   out.PutU32(static_cast<uint32_t>(sections_.size()));
-  for (auto& [tag, w] : sections_) {
-    out.PutU32(tag);
-    if (version_ >= 3) {
-      // 16-byte section header + tail padding keep every payload at an
-      // absolute offset that is a multiple of 8 (the file header is 16
-      // bytes), so section-relative alignment is absolute alignment.
-      out.PutU32(0);
-      out.PutString(w.data());
-      out.Align8();
-    } else {
-      out.PutString(w.data());
+  for (size_t k = 0; k < sections_.size(); ++k) {
+    Section& s = sections_[k];
+    out.PutU32(s.tag);
+    // v3: the 16-byte section header + tail padding keep every payload at
+    // an absolute offset that is a multiple of 8 (the file header is 16
+    // bytes), so section-relative alignment is absolute alignment.
+    if (v3) out.PutU32(0);
+    out.PutU64(lengths[k]);
+    size_t offset = s.payload.size();
+    out.Put(s.payload.data().data(), offset);
+    s.payload = Writer();
+    for (std::string& str : s.strings) {
+      const size_t pad = v3 ? PadTo8(offset) : 0;
+      out.PutZeros(pad);
+      out.PutU64(str.size());
+      out.Put(str.data(), str.size());
+      offset += pad + sizeof(uint64_t) + str.size();
+      std::string().swap(str);
     }
+    if (v3) out.PutZeros(PadTo8(offset));
   }
-  const uint64_t checksum = Fnv1a64(out.data().data(), out.data().size());
-  out.PutU64(checksum);
-  return std::move(out.Take());
+  return std::move(out).Finish();
 }
 
 Status ContainerReader::Open(std::string_view data, IndexKind expected_kind,

@@ -131,7 +131,9 @@ StatusOr<BlobPtr> ReadFileToBlob(const std::string& path);
 
 /// Accumulates tagged sections, then assembles the framed container.
 /// Sections of a version >= 3 container get aligned Writers (their
-/// length-prefixed arrays pad to 8 bytes; see util/serial.h).
+/// length-prefixed arrays pad to 8 bytes; see util/serial.h). The bytes of
+/// a finished container depend only on the sections' contents, never on how
+/// or in what order the caller produced them.
 class ContainerWriter {
  public:
   explicit ContainerWriter(IndexKind kind,
@@ -146,13 +148,30 @@ class ContainerWriter {
   /// so interleaved writes to earlier sections are safe.
   Writer& AddSection(uint32_t tag);
 
-  /// Header + section table + payloads + checksum. Consumes the writer.
+  /// Adds a section whose payload is `strings`, each length-prefixed
+  /// exactly as the section's Writer::PutString would write it (8-byte
+  /// aligned in a version >= 3 container). The strings are moved in and
+  /// copied once, straight into the finished container: this is how a
+  /// sharded index nests its shards' containers without an extra copy.
+  void AddStringsSection(uint32_t tag, std::vector<std::string> strings);
+
+  /// Header + section table + payloads + checksum, assembled in one pass
+  /// into a buffer allocated once at its exact final size. Every byte is
+  /// folded into the checksum as it is copied in, and each section's
+  /// memory is released once it has been copied. Consumes the writer.
   std::string Finish() &&;
 
  private:
+  struct Section {
+    uint32_t tag = 0;
+    Writer payload;
+    // Appended after `payload`, framed as payload.PutString would.
+    std::vector<std::string> strings;
+  };
+
   IndexKind kind_;
   uint32_t version_;
-  std::deque<std::pair<uint32_t, Writer>> sections_;
+  std::deque<Section> sections_;
 };
 
 /// Parses and fully validates container framing before handing out

@@ -4,8 +4,8 @@
 // batched, in-process (ServingEngine::Submit) or over the wire
 // (src/net/protocol.h encodes exactly this struct) — is a Request. The
 // defaults make the common case the empty case: default-constructed fields
-// mean an exact-match interactive query, so `Request{pattern, tau}` is the
-// PR-5 Submit(pattern, tau) call spelled as data.
+// mean an exact-match interactive query, so `Request{pattern, tau}` is all
+// the common case takes.
 //
 // k == 0 selects the exact path; k in [1, kMaxFuzzyErrors] selects the
 // fuzzy path under `metric` (core/fuzzy.h). `priority` picks the admission

@@ -166,58 +166,6 @@ class ServingEngine {
   /// requests[i]. (Accepts a std::vector<Request> implicitly via Span.)
   std::vector<std::future<Result>> SubmitBatch(Span<const Request> requests);
 
-  // ---- Deprecated PR-5 surface: thin shims over Submit(Request), kept for
-  // one PR so out-of-tree embedders can migrate. All in-repo callers are on
-  // Submit(Request) / SubmitBatch(Span<const Request>).
-
-  [[deprecated("use Submit(Request)")]] std::future<Result> Submit(
-      std::string pattern, double tau) {
-    Request request;
-    request.pattern = std::move(pattern);
-    request.tau = tau;
-    return Submit(std::move(request));
-  }
-
-  [[deprecated("use SubmitBatch(Span<const Request>)")]] std::vector<
-      std::future<Result>>
-  SubmitBatch(const std::vector<BatchQuery>& queries) {
-    std::vector<std::future<Result>> futures;
-    futures.reserve(queries.size());
-    for (const auto& q : queries) {
-      Request request;
-      request.pattern = q.pattern;
-      request.tau = q.tau;
-      futures.push_back(Submit(std::move(request)));
-    }
-    return futures;
-  }
-
-  [[deprecated("use Submit(Request) with metric/k set")]] std::future<Result>
-  SubmitFuzzy(std::string pattern, double tau, const FuzzyParams& params) {
-    Request request;
-    request.pattern = std::move(pattern);
-    request.tau = tau;
-    request.metric = params.metric;
-    request.k = params.k;
-    return Submit(std::move(request));
-  }
-
-  [[deprecated("use SubmitBatch(Span<const Request>)")]] std::vector<
-      std::future<Result>>
-  SubmitFuzzyBatch(const std::vector<FuzzyBatchQuery>& queries) {
-    std::vector<std::future<Result>> futures;
-    futures.reserve(queries.size());
-    for (const auto& q : queries) {
-      Request request;
-      request.pattern = q.pattern;
-      request.tau = q.tau;
-      request.metric = q.params.metric;
-      request.k = q.params.k;
-      futures.push_back(Submit(std::move(request)));
-    }
-    return futures;
-  }
-
   /// Atomically replaces the served index with an already-built one.
   /// In-flight micro-batches finish on the generation they started with
   /// (their futures resolve against the old index — never lost, never

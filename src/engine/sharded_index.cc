@@ -467,15 +467,23 @@ Status ShardedIndex::Save(std::string* out, uint32_t version) const {
   manifest.PutU32(static_cast<uint32_t>(impl.options.overlap));
   manifest.PutI64(impl.original_length);
   for (const int64_t b : impl.begins) manifest.PutI64(b);
-  Writer& blobs = cw.AddSection(serde::kTagShardBlobs);
-  // In a v3 container each nested blob lands 8-byte aligned (the aligned
-  // writer pads before the length prefix), so a nested v3 shard's sections
-  // are absolutely aligned too and its Load stays zero-copy.
-  for (const SubstringIndex& shard : impl.shards) {
-    std::string blob;
-    PTI_RETURN_IF_ERROR(shard.Save(&blob, version));
-    blobs.PutString(blob);
-  }
+  // Shards serialize concurrently under the same budget split as Build and
+  // Load (a shard's save is serial, so only the outer share is used). Each
+  // shard's bytes depend only on the shard, so the container does not
+  // depend on the schedule. Finish copies every blob once, straight into
+  // the outer container; in a v3 container each lands 8-byte aligned, so a
+  // nested v3 shard's sections are absolutely aligned too and its Load
+  // stays zero-copy.
+  const size_t num_shards = impl.shards.size();
+  std::vector<std::string> blobs(num_shards);
+  std::vector<Status> statuses(num_shards);
+  const ThreadBudget budget =
+      SplitThreadBudget(impl.options.num_threads, num_shards);
+  RunShardTasks(num_shards, budget.outer, [&](size_t k) {
+    statuses[k] = impl.shards[k].Save(&blobs[k], version);
+  });
+  for (const Status& st : statuses) PTI_RETURN_IF_ERROR(st);
+  cw.AddStringsSection(serde::kTagShardBlobs, std::move(blobs));
   *out = std::move(cw).Finish();
   return Status::OK();
 }

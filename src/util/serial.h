@@ -41,7 +41,12 @@ class Writer {
 
   /// Serialized bytes so far.
   const std::string& data() const { return buf_; }
+  size_t size() const { return buf_.size(); }
   std::string&& Take() { return std::move(buf_); }
+
+  /// Allocates room for `n` bytes in total, so a writer whose final size is
+  /// known up front fills one buffer instead of regrowing it.
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
@@ -76,11 +81,12 @@ class Writer {
     PutSpan(Span<const T>(v.data(), v.size()));
   }
 
- private:
+  /// Raw bytes: no length prefix, no padding.
   void PutRaw(const void* p, size_t n) {
     buf_.append(reinterpret_cast<const char*>(p), n);
   }
 
+ private:
   std::string buf_;
   bool aligned_ = false;
 };
@@ -197,9 +203,14 @@ class Reader {
   bool aligned_ = false;
 };
 
-/// FNV-1a 64-bit hash, the container checksum of core/serde.h.
-inline uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ull;
+/// FNV-1a offset basis: the hash of zero bytes.
+constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64-bit hash, the container checksum of core/serde.h. Passing the
+/// hash of a prefix as `h` continues it over the next bytes, so a buffer
+/// can be hashed piecewise as it is written.
+inline uint64_t Fnv1a64(const char* data, size_t n,
+                        uint64_t h = kFnv1a64Basis) {
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 0x100000001b3ull;

@@ -272,5 +272,49 @@ TEST(MmapLoadTestIo, MissingFileIsIoError) {
   EXPECT_TRUE(mapped.status().IsIOError()) << mapped.status().ToString();
 }
 
+// ReadFileToBlob (the non-mmap load path) hands an empty file back as an
+// empty blob, which the container layer then reports as Corruption, not as
+// an I/O failure.
+TEST(MmapLoadTestIo, ReadEmptyFileIsEmptyBlobThenCorruption) {
+  const std::string path = TempPath("empty.pti");
+  WriteWhole(path, "");
+  auto blob = serde::ReadFileToBlob(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  EXPECT_TRUE((*blob)->view().empty());
+  EXPECT_FALSE((*blob)->mapped());
+  auto loaded = SubstringIndex::Load((*blob)->view(), *blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+// A path that opens but cannot be read (a directory) and a missing path
+// are I/O errors with a cause.
+TEST(MmapLoadTestIo, ReadUnreadableOrMissingFileIsIoError) {
+  auto dir = serde::ReadFileToBlob(::testing::TempDir());
+  ASSERT_FALSE(dir.ok());
+  EXPECT_TRUE(dir.status().IsIOError()) << dir.status().ToString();
+  auto missing = serde::ReadFileToBlob(TempPath("does_not_exist.pti"));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsIOError()) << missing.status().ToString();
+}
+
+// The one-copy read returns exactly the file's bytes, and they load.
+TEST(MmapLoadTestIo, ReadFileToBlobRoundTripsAContainer) {
+  const UncertainString s = TestString(5);
+  auto built = SubstringIndex::Build(s, IndexOptions{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::string bytes;
+  ASSERT_TRUE(built->Save(&bytes).ok());
+  const std::string path = TempPath("read.pti");
+  WriteWhole(path, bytes);
+  auto blob = serde::ReadFileToBlob(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  EXPECT_EQ((*blob)->view(), bytes);
+  auto loaded = SubstringIndex::Load((*blob)->view(), *blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace pti

@@ -17,7 +17,9 @@
 #include "core/listing_index.h"
 #include "core/special_index.h"
 #include "core/substring_index.h"
+#include "engine/sharded_index.h"
 #include "test_util.h"
+#include "util/serial.h"
 
 namespace pti {
 namespace {
@@ -441,6 +443,110 @@ TEST(SerializationTest, AllCasesHaveDistinctNames) {
   for (const InputCase c : kAllCases) names.push_back(CaseName(c));
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
+}
+
+// ---- Golden bytes: the on-disk format pinned by size and checksum ----
+//
+// The values were recorded from the Save() output of the container writer
+// that assembled each container by appending to a growing buffer, before
+// the single-pass writer and the concurrent shard saves. A rewrite of the
+// serialization layer that changes a single byte of any container —
+// framing, padding, section order, checksum — fails here, whereas the
+// determinism tests only compare the code against itself. Probabilities are
+// multiples of 1/64, so the stored probabilities are exact; the stored
+// log-probabilities come from the C library's log(). Update these values
+// only together with a container version bump (docs/FORMAT.md).
+
+struct GoldenBytes {
+  const char* name;
+  uint32_t version;
+  size_t size;
+  uint64_t fnv;
+};
+
+UncertainString GoldenString(uint64_t seed) {
+  return AddRule(test::RandomUncertain(
+      {.length = 150, .alphabet = 4, .theta = 0.5, .seed = seed}));
+}
+
+void ExpectGolden(const GoldenBytes& want, const std::string& got) {
+  EXPECT_EQ(got.size(), want.size) << want.name << " v" << want.version;
+  EXPECT_EQ(Fnv1a64(got.data(), got.size()), want.fnv)
+      << want.name << " v" << want.version;
+}
+
+constexpr uint32_t kGoldenVersions[] = {serde::kInterchangeVersion,
+                                        serde::kContainerVersion};
+
+TEST(SerializationGoldenTest, SubstringSaveBytesArePinned) {
+  constexpr GoldenBytes kWant[] = {
+      {"tree", 2, 54934, 0x6723cb87e7bbd2c7ull},
+      {"tree", 3, 54968, 0xbbf859730a18dc3bull},
+      {"compact", 2, 64950, 0xcd59ac06e5f348fdull},
+      {"compact", 3, 134072, 0x4ef1790a5b29d07full},
+  };
+  const UncertainString s = GoldenString(41);
+  size_t i = 0;
+  for (const bool compact : {false, true}) {
+    IndexOptions options;
+    options.transform.tau_min = 0.1;
+    options.compact = compact;
+    const auto index = SubstringIndex::Build(s, options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    for (const uint32_t version : kGoldenVersions) {
+      std::string blob;
+      ASSERT_TRUE(index->Save(&blob, version).ok());
+      ExpectGolden(kWant[i++], blob);
+    }
+  }
+}
+
+TEST(SerializationGoldenTest, ShardedSaveBytesArePinnedAtEveryThreadCount) {
+  constexpr GoldenBytes kWant[] = {
+      {"sharded tree", 2, 57000, 0x24eb918a30f02c78ull},
+      {"sharded tree", 3, 57112, 0x8b8519ead61f3950ull},
+      {"sharded compact", 2, 67208, 0x2beb90c7e40a795eull},
+      {"sharded compact", 3, 156128, 0x70f5f884c14323f3ull},
+  };
+  const UncertainString s = GoldenString(42);
+  for (const int32_t threads : {1, 2, 4}) {
+    size_t i = 0;
+    for (const bool compact : {false, true}) {
+      ShardedIndexOptions options;
+      options.index.transform.tau_min = 0.1;
+      options.index.compact = compact;
+      options.num_shards = 3;
+      options.overlap = 12;
+      options.num_threads = threads;
+      const auto index = ShardedIndex::Build(s, options);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      for (const uint32_t version : kGoldenVersions) {
+        std::string blob;
+        ASSERT_TRUE(index->Save(&blob, version).ok());
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ExpectGolden(kWant[i++], blob);
+      }
+    }
+  }
+}
+
+TEST(SerializationGoldenTest, ListingSaveBytesArePinned) {
+  constexpr GoldenBytes kWant[] = {
+      {"listing", 2, 180771, 0x3e3fdf9a781c7e16ull},
+      {"listing", 3, 180792, 0x46881476b2e97f48ull},
+  };
+  std::vector<UncertainString> docs;
+  for (uint64_t d = 0; d < 3; ++d) docs.push_back(GoldenString(50 + d));
+  ListingOptions options;
+  options.transform.tau_min = 0.1;
+  const auto index = ListingIndex::Build(docs, options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  size_t i = 0;
+  for (const uint32_t version : kGoldenVersions) {
+    std::string blob;
+    ASSERT_TRUE(index->Save(&blob, version).ok());
+    ExpectGolden(kWant[i++], blob);
+  }
 }
 
 }  // namespace
