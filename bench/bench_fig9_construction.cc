@@ -8,10 +8,17 @@
 //       input, with the derived speedup-vs-1-thread column (the speedup
 //       column is informational — check_bench.py skips it, since it only
 //       reflects real parallelism on a multi-core host).
+//   (e) where construction time goes: per-stage milliseconds from
+//       BuildTimings (transform / SA / LCP / FM / derived / RMQ forest) for
+//       the panel (d) input at 1 thread and at one thread per hardware
+//       thread ("nproc"), each the median of three builds. The FM-index
+//       overlaps the derived stage in wall time when threads >= 2.
 //
 // Construction times are seconds; space is bytes as measured by
 // MemoryUsage() (real allocations, not the paper's back-of-envelope words).
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "bench_util.h"
@@ -142,6 +149,41 @@ void PanelD(bool full) {
   table.Print("Figure 9(d): construction time vs thread count", "seconds");
 }
 
+void PanelE(bool full) {
+  const int64_t n = full ? 200000 : 50000;
+  const UncertainString s = MakeString(n, 0.2, 17);
+  IndexOptions options;
+  options.transform.tau_min = 0.1;
+  options.compact = true;
+  bench::Table table("threads");
+  table.SetColumns({"transform", "sa", "lcp", "fm", "derived", "rmq"});
+  constexpr double BuildTimings::*kStages[] = {
+      &BuildTimings::transform_ms, &BuildTimings::sa_ms,
+      &BuildTimings::lcp_ms,       &BuildTimings::fm_ms,
+      &BuildTimings::derived_ms,   &BuildTimings::rmq_ms};
+  constexpr int kRepeats = 3;
+  for (const int32_t threads : {1, 0}) {
+    std::vector<std::vector<double>> samples(std::size(kStages));
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      BuildTimings timings;
+      SubstringIndex::BuildOptions build;
+      build.threads = threads;
+      build.timings = &timings;
+      if (!SubstringIndex::Build(s, options, build).ok()) std::exit(1);
+      for (size_t k = 0; k < std::size(kStages); ++k) {
+        samples[k].push_back(timings.*kStages[k]);
+      }
+    }
+    std::vector<double> row;
+    for (auto& stage : samples) {
+      std::sort(stage.begin(), stage.end());
+      row.push_back(stage[kRepeats / 2]);
+    }
+    table.AddRow(threads == 1 ? "1" : "nproc", row);
+  }
+  table.Print("Figure 9(e): construction stages (compact)", "ms");
+}
+
 }  // namespace
 
 void RunFig9(const bench::Args& args) {
@@ -151,6 +193,7 @@ void RunFig9(const bench::Args& args) {
   if (bench::RunPanel(args, "b")) PanelB(args.full);
   if (bench::RunPanel(args, "c")) PanelC(args.full);
   if (bench::RunPanel(args, "d")) PanelD(args.full);
+  if (bench::RunPanel(args, "e")) PanelE(args.full);
 }
 
 }  // namespace pti

@@ -55,6 +55,8 @@
 // reading it, so v3 loads share the page cache and skip the heap copy.
 // Index files are written to <path>.tmp and renamed into place, so a crash
 // or full disk never leaves a half-written index under the final name.
+// Every build* subcommand rejects a .pus input with no positions
+// (InvalidArgument, exit 1, no file written).
 //
 // Exit codes: 0 on success, 1 on an operational failure (I/O, corrupt index,
 // failed build or query), 2 on a usage error (unknown command, missing or
@@ -391,11 +393,20 @@ pti::Status WriteFile(const std::string& path, const std::string& data) {
   return pti::Status::OK();
 }
 
-pti::StatusOr<pti::UncertainString> ReadUncertain(
+/// Reads the .pus input of a build* subcommand. An index over zero
+/// positions answers nothing, and writing one hides a wrong or truncated
+/// input file, so the CLI rejects it (InvalidArgument, exit 1, nothing
+/// written); the library itself still indexes empty strings.
+pti::StatusOr<pti::UncertainString> ReadBuildInput(
     const std::string& path, bool require_unit_sums = true) {
   std::string text;
   PTI_RETURN_IF_ERROR(ReadFile(path, &text));
-  return pti::ParseUncertainString(text, require_unit_sums);
+  auto s = pti::ParseUncertainString(text, require_unit_sums);
+  if (s.ok() && s->size() == 0) {
+    return pti::Status::InvalidArgument(
+        path + ": the input has no positions; nothing to index");
+  }
+  return s;
 }
 
 /// Opens an index file and reports its kind; `blob` receives the bytes —
@@ -451,7 +462,7 @@ int CmdBuild(int argc, char** argv) {
     return UsageError(bad);
   }
   if (pos.size() < 2 || pos.size() > 3) return Usage();
-  auto s = ReadUncertain(pos[0]);
+  auto s = ReadBuildInput(pos[0]);
   if (!s.ok()) return Fail(s.status().ToString());
   pti::IndexOptions options;
   if (pos.size() >= 3 &&
@@ -484,7 +495,7 @@ int CmdBuildSpecial(int argc, char** argv) {
   if (argc != 4) return Usage();
   // §4 special strings keep per-position mass below 1 (the "no occurrence"
   // event), so the unit-sum invariant does not apply.
-  auto s = ReadUncertain(argv[2], /*require_unit_sums=*/false);
+  auto s = ReadBuildInput(argv[2], /*require_unit_sums=*/false);
   if (!s.ok()) return Fail(s.status().ToString());
   auto index = pti::SpecialIndex::Build(*s, pti::SpecialIndexOptions{});
   if (!index.ok()) return Fail(index.status().ToString());
@@ -499,7 +510,7 @@ int CmdBuildSpecial(int argc, char** argv) {
 
 int CmdBuildApprox(int argc, char** argv) {
   if (argc < 4 || argc > 6) return Usage();
-  auto s = ReadUncertain(argv[2]);
+  auto s = ReadBuildInput(argv[2]);
   if (!s.ok()) return Fail(s.status().ToString());
   pti::ApproxOptions options;
   if (argc >= 5 &&
@@ -531,7 +542,7 @@ int CmdBuildListing(int argc, char** argv) {
   }
   std::vector<pti::UncertainString> docs;
   for (int a = 4; a < argc; ++a) {
-    auto s = ReadUncertain(argv[a]);
+    auto s = ReadBuildInput(argv[a]);
     if (!s.ok()) return Fail(s.status().ToString());
     docs.push_back(std::move(s).value());
   }
@@ -559,7 +570,7 @@ int CmdBuildSharded(int argc, char** argv) {
     return UsageError(bad);
   }
   if (pos.size() < 2 || pos.size() > 3) return Usage();
-  auto s = ReadUncertain(pos[0]);
+  auto s = ReadBuildInput(pos[0]);
   if (!s.ok()) return Fail(s.status().ToString());
   pti::ShardedIndexOptions options;
   if (pos.size() >= 3 &&

@@ -26,6 +26,10 @@ namespace pti {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+// How many suffix-array entries ahead the fused sweeps prefetch the
+// randomly addressed per-text-position arrays (c, remaining, pos).
+constexpr size_t kSweepPrefetch = 16;
+
 int64_t RuleKey(int64_t pos, uint8_t ch) { return pos * 256 + ch; }
 
 // Accumulates wall-clock milliseconds into *slot between construction and
@@ -315,62 +319,226 @@ struct SubstringIndex::Impl {
     return depths;
   }
 
-  // Builds the §5 RMQ forest. The K short trees and the long levels are
-  // mutually independent, so a multi-thread pool fans out across them when
-  // there are enough trees to fill it; with fewer trees than threads each
-  // tree is built in order with the pool parallelizing its internal
-  // block-argmax pass instead. Tasks running on pool workers get no inner
-  // pool — a nested Wait from a worker of the same pool would deadlock.
+  // Window log-probability of depth `depth` at text position q with
+  // RawValue's exact arithmetic: the c[] difference first, then the
+  // Adjustments in corr_positions order, starting at `corr` (the first
+  // correlated position >= q; unused when nothing is correlated).
+  double SweepValue(int64_t q, double cq, int32_t depth,
+                    const int64_t* corr) const {
+    double v = c.data()[q + depth] - cq;
+    if (!fs.corr_positions.empty()) {
+      for (const int64_t* it = corr;
+           it != fs.corr_positions.end() && *it < q + depth; ++it) {
+        v += Adjustment(*it, q, depth);
+      }
+    }
+    return v;
+  }
+
+  // Fills the block maxima of the short depths 1 .. nshort (block 64,
+  // masked by the active bit) and of the long levels of `long_depths`
+  // (block = depth) over the suffix-array entries [j_lo, j_hi), in one pass:
+  // each entry loads SA[j], remaining[q] and c[q] once and evaluates each
+  // level's value at most once. A level whose window leaves the factor (or
+  // whose active bit is clear) is -inf, which only matters as its block's
+  // first candidate. j_lo must start a block of every level, and j_hi end
+  // one (or be N), so disjoint ranges fill disjoint blocks; the maxima equal
+  // BlockRmq::ScanBlocks over ActiveFn/RawFn level by level.
+  void SweepForest(size_t j_lo, size_t j_hi, size_t nshort,
+                   const std::vector<int32_t>& long_depths,
+                   std::vector<BlockMaxima>* short_out,
+                   std::vector<BlockMaxima>* long_out) const {
+    const size_t n_text = N();
+    const size_t nlong = long_depths.size();
+    std::vector<const uint64_t*> short_bits(nshort);
+    for (size_t t = 0; t < nshort; ++t) short_bits[t] = active[t].data();
+    std::vector<RmqCandidate> short_best(nshort);
+    std::vector<RmqCandidate> long_best(nlong);
+    std::vector<size_t> long_off(nlong, 0);
+    const int32_t* sa = sa_view.data();
+    const int32_t* rem_of = remaining.data();
+    const double* cp = c.data();
+    const bool correlated = !fs.corr_positions.empty();
+    for (size_t j = j_lo; j < j_hi; ++j) {
+      if (j + kSweepPrefetch < j_hi) {
+        const int32_t ahead = sa[j + kSweepPrefetch];
+        __builtin_prefetch(rem_of + ahead);
+        __builtin_prefetch(cp + ahead);
+      }
+      const int64_t q = sa[j];
+      const int32_t rem = rem_of[q];
+      const double cq = cp[q];
+      const int64_t* corr =
+          correlated ? std::lower_bound(fs.corr_positions.begin(),
+                                        fs.corr_positions.end(), q)
+                     : nullptr;
+      const bool last = j + 1 == n_text;
+
+      const bool start = (j & 63) == 0;
+      if (start) {
+        for (size_t t = 0; t < nshort; ++t) short_best[t] = {j, kNegInf};
+      }
+      const size_t live =
+          std::min(static_cast<size_t>(std::max(rem, 0)), nshort);
+      const uint64_t bit = uint64_t{1} << (j & 63);
+      for (size_t t = 0; t < live; ++t) {
+        if ((short_bits[t][j >> 6] & bit) == 0) continue;
+        const double v = SweepValue(q, cq, static_cast<int32_t>(t) + 1, corr);
+        if (start || v > short_best[t].value) short_best[t] = {j, v};
+      }
+      if ((j & 63) == 63 || last) {
+        for (size_t t = 0; t < nshort; ++t) {
+          (*short_out)[t].arg[j >> 6] =
+              static_cast<uint32_t>(short_best[t].pos);
+          (*short_out)[t].value[j >> 6] = short_best[t].value;
+        }
+      }
+
+      for (size_t t = 0; t < nlong; ++t) {
+        const int32_t depth = long_depths[t];
+        const bool first = long_off[t] == 0;
+        if (first) long_best[t] = {j, kNegInf};
+        if (rem >= depth) {
+          const double v = SweepValue(q, cq, depth, corr);
+          if (first || v > long_best[t].value) long_best[t] = {j, v};
+        }
+        if (++long_off[t] == static_cast<size_t>(depth) || last) {
+          const size_t b = j / static_cast<size_t>(depth);
+          (*long_out)[t].arg[b] = static_cast<uint32_t>(long_best[t].pos);
+          (*long_out)[t].value[b] = long_best[t].value;
+          long_off[t] = 0;
+        }
+      }
+    }
+  }
+
+  // Builds the §5 RMQ forest. Every block-engine level — the K short depths
+  // (block 64, active-masked) unless another engine was asked for, and the
+  // kPow2 long levels (block = depth) — takes its block maxima from one
+  // fused sweep over the suffix array. A multi-thread pool cuts the sweep
+  // into contiguous suffix-array chunks whose bounds start a block of every
+  // level, so each chunk fills its own blocks of all levels and every
+  // thread count yields the same tables. Short depths of a non-block engine
+  // are built one MakeRmq per depth.
   void BuildRmqForest(size_t n_text, ThreadPool* pool = nullptr) {
     short_rmq.clear();
     short_rmq.resize(K);
     const std::vector<int32_t> depths = LongLevelDepths();
-    long_levels.clear();
-    long_levels.resize(depths.size());
-    const size_t total = static_cast<size_t>(K) + depths.size();
-    const auto build_one = [&](size_t t, ThreadPool* inner) {
-      if (t < static_cast<size_t>(K)) {
-        const int32_t i = static_cast<int32_t>(t) + 1;
-        short_rmq[t] =
-            MakeRmq(options.rmq_engine, ActiveFn{this, i}, n_text, 64, inner);
-      } else {
-        LongLevel& level = long_levels[t - static_cast<size_t>(K)];
-        level.depth = depths[t - static_cast<size_t>(K)];
-        level.rmq = MakeRmq(RmqEngineKind::kBlock, RawFn{this, level.depth},
-                            n_text, static_cast<size_t>(level.depth), inner);
-      }
+    const size_t nshort =
+        options.rmq_engine == RmqEngineKind::kBlock ? static_cast<size_t>(K)
+                                                     : 0;
+    const auto sized = [n_text](size_t block) {
+      BlockMaxima m;
+      m.arg.resize((n_text + block - 1) / block);
+      m.value.resize(m.arg.size());
+      return m;
     };
-    if (pool != nullptr && pool->num_threads() > 1 &&
-        total >= pool->num_threads()) {
-      pool->ParallelFor(total, [&](size_t t) { build_one(t, nullptr); });
+    std::vector<BlockMaxima> short_maxima(nshort, sized(64));
+    std::vector<BlockMaxima> long_maxima;
+    size_t align = 64;  // a multiple of every level's block size
+    for (const int32_t d : depths) {
+      long_maxima.push_back(sized(static_cast<size_t>(d)));
+      align = std::lcm(align, static_cast<size_t>(d));
+    }
+    const size_t units = (n_text + align - 1) / align;
+    const size_t threads = pool == nullptr ? 1 : pool->num_threads();
+    const size_t chunks = std::max<size_t>(1, std::min(units, threads));
+    const auto sweep = [&](size_t g) {
+      const size_t lo = std::min(n_text, g * units / chunks * align);
+      const size_t hi = std::min(n_text, (g + 1) * units / chunks * align);
+      SweepForest(lo, hi, nshort, depths, &short_maxima, &long_maxima);
+    };
+    if (chunks > 1) {
+      pool->ParallelFor(chunks, sweep);
     } else {
-      for (size_t t = 0; t < total; ++t) build_one(t, pool);
+      sweep(0);
+    }
+    for (size_t t = 0; t < nshort; ++t) {
+      const int32_t i = static_cast<int32_t>(t) + 1;
+      short_rmq[t] = MakeBlockRmq(ActiveFn{this, i}, n_text, 64,
+                                  std::move(short_maxima[t]));
+    }
+    long_levels.clear();
+    for (size_t t = 0; t < depths.size(); ++t) {
+      LongLevel level;
+      level.depth = depths[t];
+      level.rmq = MakeBlockRmq(RawFn{this, level.depth}, n_text,
+                               static_cast<size_t>(level.depth),
+                               std::move(long_maxima[t]));
+      long_levels.push_back(std::move(level));
+    }
+    if (nshort == 0) {
+      const auto build = [&](size_t t) {
+        const int32_t i = static_cast<int32_t>(t) + 1;
+        short_rmq[t] = MakeRmq(options.rmq_engine, ActiveFn{this, i}, n_text);
+      };
+      if (pool != nullptr) {
+        pool->ParallelFor(static_cast<size_t>(K), build);
+      } else {
+        for (size_t t = 0; t < static_cast<size_t>(K); ++t) build(t);
+      }
     }
   }
 
-  // §5.2 duplicate elimination for one depth: within every depth-i locus
-  // partition keep one representative per original position. The stamp
-  // only has to be unique per partition *within* this depth, so per-depth
-  // calls with fresh (seen, stamp) state produce the same bits as the
-  // classic sequential loop that threads one stamp counter through all
-  // depths — which is what makes the depths independently parallelizable.
-  std::vector<uint64_t> BuildActiveBits(int32_t i,
-                                        const std::vector<int32_t>& lcp,
-                                        std::vector<int64_t>* seen,
-                                        int64_t* stamp) const {
+  // §5.2 duplicate elimination for depths lo+1 .. hi in one pass over the
+  // suffix array: within every depth-i locus partition keep one
+  // representative per original position. Each depth keeps its own
+  // partition stamp, advanced at every j where lcp[j] < i opens a new
+  // depth-i partition — all depths from lcp[j] + 1 up at once. `seen`
+  // holds one row of per-depth stamps per original position, so an entry
+  // touches a single row however many depths its window covers. A stamp
+  // only has to be unique per partition within its own depth, so any split
+  // of the depths into groups yields the same bits.
+  void BuildActiveBits(size_t lo, size_t hi,
+                       const std::vector<int32_t>& lcp) {
     const size_t n_text = N();
-    std::vector<uint64_t> bits((n_text + 63) / 64, 0);
+    const size_t width = hi - lo;
+    if (width == 0) return;
+    const int64_t first_depth = static_cast<int64_t>(lo) + 1;
+    std::vector<std::vector<uint64_t>> bits(
+        width, std::vector<uint64_t>((n_text + 63) / 64, 0));
+    std::vector<int32_t> stamp(width, 0);
+    std::vector<int32_t> seen(
+        static_cast<size_t>(std::max<int64_t>(fs.original_length, 1)) * width,
+        -1);
+    const int32_t* sa = sa_view.data();
+    const int32_t* rem_of = remaining.data();
+    const int64_t* pos_of = fs.pos.data();
     for (size_t j = 0; j < n_text; ++j) {
-      if (j == 0 || lcp[j] < i) ++*stamp;
-      const int64_t q = sa_view[j];
-      if (remaining[q] < i) continue;
-      const int64_t spos = fs.pos[q];
-      if ((*seen)[spos] != *stamp) {
-        (*seen)[spos] = *stamp;
-        bits[j >> 6] |= uint64_t{1} << (j & 63);
+      // The seen row is addressed through pos[q], so pos runs two prefetch
+      // distances ahead and the row one.
+      if (j + 2 * kSweepPrefetch < n_text) {
+        const int32_t ahead = sa[j + 2 * kSweepPrefetch];
+        __builtin_prefetch(rem_of + ahead);
+        __builtin_prefetch(pos_of + ahead);
+      }
+      if (j + kSweepPrefetch < n_text) {
+        const int64_t ahead_pos = pos_of[sa[j + kSweepPrefetch]];
+        if (ahead_pos >= 0) {
+          __builtin_prefetch(&seen[static_cast<size_t>(ahead_pos) * width]);
+        }
+      }
+      // Depth first_depth + k opens a partition iff lcp[j] < first_depth + k.
+      const int64_t opened =
+          j == 0 ? 0 : std::max<int64_t>(lcp[j] - first_depth + 1, 0);
+      for (size_t k = static_cast<size_t>(opened); k < width; ++k) ++stamp[k];
+      const int64_t q = sa[j];
+      const int64_t live = std::min<int64_t>(
+          static_cast<int64_t>(rem_of[q]) - first_depth + 1,
+          static_cast<int64_t>(width));
+      if (live <= 0) continue;
+      int32_t* row = &seen[static_cast<size_t>(pos_of[q]) * width];
+      const uint64_t bit = uint64_t{1} << (j & 63);
+      for (size_t k = 0; k < static_cast<size_t>(live); ++k) {
+        if (row[k] != stamp[k]) {
+          row[k] = stamp[k];
+          bits[k][j >> 6] |= bit;
+        }
       }
     }
-    return bits;
+    for (size_t k = 0; k < width; ++k) {
+      active[lo + k] = VecOrView<uint64_t>(std::move(bits[k]));
+    }
   }
 
   // Builds everything derived from (source, options, fs). In compact mode
@@ -381,12 +549,13 @@ struct SubstringIndex::Impl {
   // FM-index serves locus lookups.
   //
   // A non-null multi-thread `pool` parallelizes the LCP scan, the active
-  // bitsets (one task per depth), the FM-index internals and the RMQ
-  // forest, and overlaps the FM-index build (depends only on text + SA)
-  // with the derived passes (text + SA + LCP) on a dedicated thread. The
-  // floating-point prefix sum `c` and the `remaining` reverse scan stay
-  // sequential — cheap O(n), and parallel FP reassociation would change
-  // serialized bytes. Everything else writes precomputed disjoint
+  // bitsets (one fused suffix-array sweep per contiguous depth group), the
+  // RMQ forest (one fused sweep per block-aligned suffix-array chunk) and
+  // the FM-index internals, and overlaps the FM-index build (depends only
+  // on text + SA) with the derived passes (text + SA + LCP) on a dedicated
+  // thread. The floating-point prefix sum `c` and the `remaining` reverse
+  // scan stay sequential — cheap O(n), and parallel FP reassociation would
+  // change serialized bytes. Everything else writes precomputed disjoint
   // locations, so the build is bit-identical at any thread count.
   Status FinishBuild(std::optional<VecOrView<int32_t>> loaded_sa =
                          std::nullopt,
@@ -451,26 +620,20 @@ struct SubstringIndex::Impl {
 
       K = ComputeK(n_text);
 
+      // One sweep per contiguous, near-equal depth group, one group per
+      // pool thread. A depth's bits depend on the depth alone, never on its
+      // group, so every thread count yields the same bytes.
       active.assign(K, VecOrView<uint64_t>());
-      if (pool != nullptr && pool->num_threads() > 1 && K > 1) {
-        pool->ParallelFor(static_cast<size_t>(K), [&](size_t d) {
-          const int32_t i = static_cast<int32_t>(d) + 1;
-          std::vector<int64_t> seen(
-              static_cast<size_t>(std::max<int64_t>(fs.original_length, 1)),
-              -1);
-          int64_t stamp = 0;
-          active[d] =
-              VecOrView<uint64_t>(BuildActiveBits(i, *lcp, &seen, &stamp));
-        });
+      const size_t depths = static_cast<size_t>(K);
+      const size_t groups =
+          pool == nullptr ? 1 : std::min(depths, pool->num_threads());
+      const auto sweep = [&](size_t g) {
+        BuildActiveBits(g * depths / groups, (g + 1) * depths / groups, *lcp);
+      };
+      if (groups > 1) {
+        pool->ParallelFor(groups, sweep);
       } else {
-        std::vector<int64_t> seen(
-            static_cast<size_t>(std::max<int64_t>(fs.original_length, 1)),
-            -1);
-        int64_t stamp = 0;
-        for (int32_t i = 1; i <= K; ++i) {
-          active[i - 1] =
-              VecOrView<uint64_t>(BuildActiveBits(i, *lcp, &seen, &stamp));
-        }
+        sweep(0);
       }
     }
 

@@ -5,7 +5,10 @@
 // two ragged boundary blocks are scanned through the value accessor (O(1)
 // values each, block size is a small constant). Space is
 // O(n/b · log(n/b)) words — for the default b=64 about 1 byte per element at
-// n = 4M — and queries make at most 2b+1 accessor calls.
+// n = 4M — and queries make at most 2b+2 accessor calls: each position of
+// the two ragged parts once, plus the top table's two candidates.
+// Construction calls the accessor once per element, or not at all when the
+// caller supplies the block maxima (BlockMaxima).
 //
 // Rationale vs the paper: Lemma 1's 2n+o(n)-bit structure never touches the
 // array at query time; our accessor recomputes values in O(1) from structures
@@ -17,6 +20,7 @@
 #define PTI_RMQ_BLOCK_RMQ_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,48 +32,41 @@
 #include "util/serial.h"
 #include "util/span.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace pti {
+
+/// The per-block leftmost maxima of an array cut into blocks of `block`
+/// elements: arg[b] is the position of block b's maximum, value[b] its value.
+/// This is all BlockRmq builds its top table from, so a caller that already
+/// has them (the indexes' fused forest sweep) skips the block scans.
+struct BlockMaxima {
+  std::vector<uint32_t> arg;
+  std::vector<double> value;
+};
 
 /// ValueFn: copyable callable `double(size_t)`; must stay valid and stable for
 /// the lifetime of the structure.
 template <typename ValueFn>
 class BlockRmq {
  public:
-  /// `block` is the scan granularity; 64 balances space vs scan cost. A
-  /// non-null multi-thread `pool` spreads the per-block argmax scans (each
-  /// block's argmax is independent and deterministic, so the table is
-  /// identical at any thread count). Must not be called from a worker of
-  /// `pool` itself.
-  BlockRmq(ValueFn value, size_t n, size_t block = 64,
-           ThreadPool* pool = nullptr)
+  /// `block` is the scan granularity; 64 balances space vs scan cost.
+  BlockRmq(ValueFn value, size_t n, size_t block = 64)
+      : BlockRmq(value, n, block, ScanBlocks(value, n, block)) {}
+
+  /// Builds over precomputed block maxima, which must equal what a scan of
+  /// `value` would find: maxima.arg[b] the leftmost argmax of block b and
+  /// maxima.value[b] the value there. The top sparse table is built over
+  /// the cached values; the accessor is only called by queries.
+  BlockRmq(ValueFn value, size_t n, size_t block, BlockMaxima maxima)
       : value_(std::move(value)), n_(n), block_(block == 0 ? 1 : block) {
     const size_t nblocks = (n_ + block_ - 1) / block_;
-    std::vector<uint32_t> args(nblocks, 0);
-    const auto fill = [&](size_t blo, size_t bhi) {
-      for (size_t b = blo; b < bhi; ++b) {
-        const size_t lo = b * block_;
-        const size_t hi = std::min(lo + block_ - 1, n_ - 1);
-        args[b] = static_cast<uint32_t>(BruteForceArgMax(value_, lo, hi));
-      }
-    };
-    constexpr size_t kBlocksPerTask = 1024;
-    if (pool != nullptr && pool->num_threads() > 1 &&
-        nblocks > kBlocksPerTask) {
-      const size_t nchunks = (nblocks + kBlocksPerTask - 1) / kBlocksPerTask;
-      pool->ParallelFor(nchunks, [&](size_t c) {
-        fill(c * kBlocksPerTask,
-             std::min(nblocks, (c + 1) * kBlocksPerTask));
-      });
-    } else {
-      fill(0, nblocks);
-    }
-    block_arg_ = VecOrView<uint32_t>(std::move(args));
+    assert(maxima.arg.size() == nblocks && maxima.value.size() == nblocks);
+    block_arg_ = VecOrView<uint32_t>(std::move(maxima.arg));
     if (nblocks > 0) {
       // The accessor captures the heap buffer (stable across moves of this
       // object) and a copy of the value functor — never `this`.
-      top_.emplace(BlockValueFn{block_arg_.data(), value_}, nblocks);
+      top_.emplace(BlockValueFn{block_arg_.data(), value_}, nblocks,
+                   std::move(maxima.value));
     }
   }
 
@@ -120,20 +117,22 @@ class BlockRmq {
     return Status::OK();
   }
 
-  /// Leftmost argmax over the inclusive range [l, r].
+  /// Leftmost argmax over the inclusive range [l, r]. The three parts are
+  /// combined on the values their scans already produced.
   size_t ArgMax(size_t l, size_t r) const {
     assert(l <= r && r < n_);
     const size_t bl = l / block_;
     const size_t br = r / block_;
     if (bl == br) return BruteForceArgMax(value_, l, r);
     // Left ragged part, middle whole blocks, right ragged part.
-    size_t best = BruteForceArgMax(value_, l, (bl + 1) * block_ - 1);
+    RmqCandidate best = BruteForceCandidate(value_, l, (bl + 1) * block_ - 1);
     if (bl + 1 <= br - 1) {
-      const size_t mid = block_arg_[top_->ArgMax(bl + 1, br - 1)];
-      best = rmq_internal::Better(value_, best, mid);
+      const RmqCandidate mid = top_->Candidate(bl + 1, br - 1);
+      best = rmq_internal::Better(best, {block_arg_[mid.pos], mid.value});
     }
-    const size_t right = BruteForceArgMax(value_, br * block_, r);
-    return rmq_internal::Better(value_, best, right);
+    return rmq_internal::Better(best,
+                                BruteForceCandidate(value_, br * block_, r))
+        .pos;
   }
 
   size_t size() const { return n_; }
@@ -147,6 +146,23 @@ class BlockRmq {
   }
 
  private:
+  /// The block maxima of `value` over n elements: one accessor call each.
+  static BlockMaxima ScanBlocks(const ValueFn& value, size_t n, size_t block) {
+    if (block == 0) block = 1;
+    const size_t nblocks = (n + block - 1) / block;
+    BlockMaxima maxima;
+    maxima.arg.resize(nblocks);
+    maxima.value.resize(nblocks);
+    for (size_t b = 0; b < nblocks; ++b) {
+      const size_t lo = b * block;
+      const RmqCandidate best =
+          BruteForceCandidate(value, lo, std::min(lo + block, n) - 1);
+      maxima.arg[b] = static_cast<uint32_t>(best.pos);
+      maxima.value[b] = best.value;
+    }
+    return maxima;
+  }
+
   struct PartsTag {};
   BlockRmq(PartsTag, ValueFn value, size_t n, size_t block,
            VecOrView<uint32_t> block_arg)

@@ -42,6 +42,7 @@ class FischerHeunRmq {
     const size_t nblocks = (n_ + kBlock - 1) / kBlock;
     types_.resize(nblocks);
     block_arg_.resize(nblocks);
+    std::vector<double> block_val(nblocks);
     double vals[kBlock];
     for (size_t b = 0; b < nblocks; ++b) {
       const size_t lo = b * kBlock;
@@ -51,11 +52,14 @@ class FischerHeunRmq {
       types_[b] = type;
       auto [it, inserted] = tables_.try_emplace(Key(type, len));
       if (inserted) it->second = BuildTable(vals, len);
-      block_arg_[b] = static_cast<uint32_t>(
-          lo + it->second[0 * kBlock + (len - 1)]);
+      const size_t off = it->second[0 * kBlock + (len - 1)];
+      block_arg_[b] = static_cast<uint32_t>(lo + off);
+      block_val[b] = vals[off];
     }
-    // Stable across moves: captures the heap buffer and a functor copy.
-    top_.emplace(BlockValueFn{block_arg_.data(), value_}, nblocks);
+    // Stable across moves: captures the heap buffer and a functor copy. The
+    // top table is built over the values read above, not re-evaluated.
+    top_.emplace(BlockValueFn{block_arg_.data(), value_}, nblocks,
+                 std::move(block_val));
   }
 
   /// Leftmost argmax over the inclusive range [l, r].
@@ -64,13 +68,12 @@ class FischerHeunRmq {
     const size_t bl = l / kBlock;
     const size_t br = r / kBlock;
     if (bl == br) return InBlock(bl, l % kBlock, r % kBlock);
-    size_t best = InBlock(bl, l % kBlock, BlockLen(bl) - 1);
+    RmqCandidate best = At(InBlock(bl, l % kBlock, BlockLen(bl) - 1));
     if (bl + 1 <= br - 1) {
-      const size_t mid = block_arg_[top_->ArgMax(bl + 1, br - 1)];
-      best = rmq_internal::Better(value_, best, mid);
+      const RmqCandidate mid = top_->Candidate(bl + 1, br - 1);
+      best = rmq_internal::Better(best, {block_arg_[mid.pos], mid.value});
     }
-    const size_t right = InBlock(br, 0, r % kBlock);
-    return rmq_internal::Better(value_, best, right);
+    return rmq_internal::Better(best, At(InBlock(br, 0, r % kBlock))).pos;
   }
 
   size_t size() const { return n_; }
@@ -88,6 +91,8 @@ class FischerHeunRmq {
   }
 
  private:
+  RmqCandidate At(size_t pos) const { return {pos, value_(pos)}; }
+
   size_t BlockLen(size_t b) const { return std::min(kBlock, n_ - b * kBlock); }
 
   size_t InBlock(size_t b, size_t i, size_t j) const {

@@ -70,13 +70,10 @@ class RmqHandleImpl final : public RmqHandle {
 }  // namespace rmq_internal
 
 /// Builds an engine of the requested kind over `value` (n entries).
-/// `block` applies to kBlock only, as does `pool` (a non-null multi-thread
-/// pool parallelizes the block-argmax pass; the table is identical at any
-/// thread count).
+/// `block` applies to kBlock only.
 template <typename ValueFn>
 std::unique_ptr<RmqHandle> MakeRmq(RmqEngineKind kind, ValueFn value, size_t n,
-                                   size_t block = 64,
-                                   ThreadPool* pool = nullptr) {
+                                   size_t block = 64) {
   switch (kind) {
     case RmqEngineKind::kFischerHeun:
       return std::make_unique<
@@ -89,8 +86,18 @@ std::unique_ptr<RmqHandle> MakeRmq(RmqEngineKind kind, ValueFn value, size_t n,
     case RmqEngineKind::kBlock:
     default:
       return std::make_unique<rmq_internal::RmqHandleImpl<BlockRmq<ValueFn>>>(
-          BlockRmq<ValueFn>(std::move(value), n, block, pool));
+          BlockRmq<ValueFn>(std::move(value), n, block));
   }
+}
+
+/// Builds a block-engine handle over block maxima the caller already
+/// computed (see BlockRmq's BlockMaxima constructor); identical to
+/// MakeRmq(kBlock, value, n, block) when the maxima are right.
+template <typename ValueFn>
+std::unique_ptr<RmqHandle> MakeBlockRmq(ValueFn value, size_t n, size_t block,
+                                        BlockMaxima maxima) {
+  return std::make_unique<rmq_internal::RmqHandleImpl<BlockRmq<ValueFn>>>(
+      BlockRmq<ValueFn>(std::move(value), n, block, std::move(maxima)));
 }
 
 /// Deserializes a block-engine handle saved via RmqHandle::SaveTo. The

@@ -8,6 +8,7 @@
 #ifndef PTI_RMQ_SPARSE_TABLE_RMQ_H_
 #define PTI_RMQ_SPARSE_TABLE_RMQ_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -26,19 +27,33 @@ namespace pti {
 template <typename ValueFn>
 class SparseTableRmq {
  public:
-  SparseTableRmq(ValueFn value, size_t n) : value_(std::move(value)), n_(n) {
+  SparseTableRmq(ValueFn value, size_t n)
+      : SparseTableRmq(value, n, EvaluateAll(value, n)) {}
+
+  /// Builds over precomputed values: values[i] must equal value(i). Each
+  /// level combines the cached values of the level below, so construction
+  /// never calls the accessor; `value` serves queries only.
+  SparseTableRmq(ValueFn value, size_t n, std::vector<double> values)
+      : value_(std::move(value)), n_(n) {
+    assert(values.size() == n_);
     if (n_ == 0) return;
     const uint32_t levels = rmq_internal::FloorLog2(n_) + 1;
     table_.resize(levels);
     std::vector<uint32_t> level0(n_);
     for (size_t i = 0; i < n_; ++i) level0[i] = static_cast<uint32_t>(i);
     table_[0] = VecOrView<uint32_t>(std::move(level0));
+    // values[i] tracks the value at table_[k][i]; entry i of level k reads
+    // entries i and i + span/2 of level k-1 only, so an ascending in-place
+    // update never overwrites a value it still needs.
     for (uint32_t k = 1; k < levels; ++k) {
       const size_t span = size_t{1} << k;
+      const auto& below = table_[k - 1];
       std::vector<uint32_t> level(n_ - span + 1);
       for (size_t i = 0; i + span <= n_; ++i) {
-        level[i] = static_cast<uint32_t>(rmq_internal::Better(
-            value_, table_[k - 1][i], table_[k - 1][i + span / 2]));
+        const RmqCandidate best = rmq_internal::Better(
+            {below[i], values[i]}, {below[i + span / 2], values[i + span / 2]});
+        level[i] = static_cast<uint32_t>(best.pos);
+        values[i] = best.value;
       }
       table_[k] = VecOrView<uint32_t>(std::move(level));
     }
@@ -89,11 +104,18 @@ class SparseTableRmq {
 
   /// Leftmost argmax over the inclusive range [l, r].
   size_t ArgMax(size_t l, size_t r) const {
+    return l == r ? l : Candidate(l, r).pos;
+  }
+
+  /// Leftmost argmax over [l, r] with its value (at most two accessor
+  /// calls).
+  RmqCandidate Candidate(size_t l, size_t r) const {
     assert(l <= r && r < n_);
-    if (l == r) return l;
     const uint32_t k = rmq_internal::FloorLog2(r - l + 1);
-    const size_t span = size_t{1} << k;
-    return rmq_internal::Better(value_, table_[k][l], table_[k][r - span + 1]);
+    const size_t a = table_[k][l];
+    const size_t b = table_[k][r - (size_t{1} << k) + 1];
+    if (a == b) return {a, value_(a)};
+    return rmq_internal::Better({a, value_(a)}, {b, value_(b)});
   }
 
   size_t size() const { return n_; }
@@ -107,6 +129,12 @@ class SparseTableRmq {
   }
 
  private:
+  static std::vector<double> EvaluateAll(const ValueFn& value, size_t n) {
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) values[i] = value(i);
+    return values;
+  }
+
   SparseTableRmq(ValueFn value, size_t n,
                  std::vector<VecOrView<uint32_t>> table)
       : value_(std::move(value)), n_(n), table_(std::move(table)) {}

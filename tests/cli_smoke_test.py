@@ -141,6 +141,30 @@ def main():
           run("build-sharded", p("g.pus"), p("x.pti"), "--shards=-2"), 2,
           stderr_has="bad value")
 
+    # ---- empty input: every build* subcommand rejects zero positions ----
+    with open(p("empty.pus"), "w") as f:
+        pass
+    empty_builds = [
+        ("build", ["build", p("empty.pus"), p("e1.pti"), "0.1"]),
+        ("build-compact", ["build", p("empty.pus"), p("e2.pti"), "0.1",
+                           "--compact"]),
+        ("build-special", ["build-special", p("empty.pus"), p("e3.pti")]),
+        ("build-approx", ["build-approx", p("empty.pus"), p("e4.pti")]),
+        ("build-listing", ["build-listing", p("e5.pti"), "0.1", p("d.pus"),
+                           p("empty.pus")]),
+        ("build-sharded", ["build-sharded", p("empty.pus"), p("e6.pti"),
+                           "0.1", "--shards=2"]),
+    ]
+    for name, args in empty_builds:
+        check(f"{name}-empty-input", run(*args), 1,
+              stderr_has="InvalidArgument", stdout_empty=True)
+        out = args[1] if name == "build-listing" else args[2]
+        if os.path.exists(out) or os.path.exists(out + ".tmp"):
+            FAILURES.append(f"{name}-empty-input: wrote {out}")
+            print(f"FAIL {name}-empty-input-no-file")
+        else:
+            print(f"ok   {name}-empty-input-no-file")
+
     # ---- query (every kind via autodetection) ----
     check("query-substring", run("query", p("d.pti"), "QP", "0.4"), 0,
           stdout_has="0\t0.490000", stderr_has="1 match(es)")

@@ -8,13 +8,13 @@
 // The first input byte selects the surface (mod 3): 0 container load,
 // 1 strict text parse, 2 special-mode text parse. The rest is the payload.
 //
-// One source file builds two ways:
-//   - with PTI_FUZZ_WITH_LIBFUZZER (Clang, -fsanitize=fuzzer): libFuzzer
-//     provides main() and mutates from tests/fuzz/corpus/.
-//   - without it (any compiler, including gcc): the replay main() below
-//     runs every corpus file once, so the checked-in corpus — including any
-//     past findings added as regression inputs — re-runs under plain ctest
-//     and under the sanitizer CI legs.
+// The entry point links two ways:
+//   - with -fsanitize=fuzzer (Clang): libFuzzer provides main() and mutates
+//     from tests/fuzz/corpus/.
+//   - with replay_main.cc (any compiler, including gcc): every corpus file
+//     runs once, so the checked-in corpus — including any past findings
+//     added as regression inputs — re-runs under plain ctest and under the
+//     sanitizer CI legs.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -70,52 +70,3 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   return 0;
 }
-
-#ifndef PTI_FUZZ_WITH_LIBFUZZER
-
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <iterator>
-#include <vector>
-
-// Replay driver: each argument is a corpus file or a directory of them.
-// Exits non-zero only if an input cannot be read; a decode-surface bug
-// shows up as a crash/sanitizer abort, which ctest reports as a failure.
-int main(int argc, char** argv) {
-  std::vector<std::filesystem::path> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::filesystem::path p(argv[i]);
-    std::error_code ec;
-    if (std::filesystem::is_directory(p, ec)) {
-      for (const auto& entry : std::filesystem::directory_iterator(p)) {
-        if (entry.is_regular_file()) files.push_back(entry.path());
-      }
-    } else {
-      files.push_back(p);
-    }
-  }
-  if (files.empty()) {
-    std::cerr << "usage: fuzz_serde_replay <corpus-file-or-dir>...\n";
-    return 1;
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& f : files) {
-    std::ifstream in(f, std::ios::binary);
-    if (!in) {
-      std::cerr << "cannot read " << f << "\n";
-      return 1;
-    }
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
-                           bytes.size());
-    std::cout << "replayed " << f.filename().string() << " (" << bytes.size()
-              << " bytes)\n";
-  }
-  std::cout << files.size() << " input(s), no crashes\n";
-  return 0;
-}
-
-#endif  // !PTI_FUZZ_WITH_LIBFUZZER

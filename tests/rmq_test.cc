@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "rmq/block_rmq.h"
@@ -13,6 +14,7 @@
 #include "rmq/rmq_handle.h"
 #include "rmq/sparse_table_rmq.h"
 #include "util/rng.h"
+#include "util/serial.h"
 
 namespace pti {
 namespace {
@@ -179,6 +181,153 @@ TEST(RmqTest, FischerHeunSharesTypeTables) {
   VecFn fn{&v};
   FischerHeunRmq<VecFn> fh(fn, v.size());
   EXPECT_LT(fh.MemoryUsage(), v.size() * sizeof(double));
+}
+
+
+// ---- Block maxima supplied by the caller vs scanned by the engine ----
+
+// Counts accessor calls, so construction can be held to one per value.
+struct CountingFn {
+  const std::vector<double>* v;
+  size_t* calls;
+  double operator()(size_t i) const {
+    ++*calls;
+    return (*v)[i];
+  }
+};
+
+// The per-block maxima worked out independently of the engine, under the
+// reference rule: a later position replaces the best only when strictly
+// greater (so a NaN first candidate is never replaced).
+BlockMaxima NaiveBlockMaxima(const std::vector<double>& v, size_t block) {
+  BlockMaxima m;
+  for (size_t lo = 0; lo < v.size(); lo += block) {
+    size_t best = lo;
+    for (size_t i = lo + 1; i < std::min(lo + block, v.size()); ++i) {
+      if (v[i] > v[best]) best = i;
+    }
+    m.arg.push_back(static_cast<uint32_t>(best));
+    m.value.push_back(v[best]);
+  }
+  return m;
+}
+
+template <typename Engine>
+std::string SavedBytes(const Engine& engine) {
+  Writer w(/*aligned=*/true);
+  engine.SaveTo(&w);
+  return w.Take();
+}
+
+// Value patterns the differential covers; every pattern fills n values.
+std::vector<double> PatternValues(int pattern, size_t n, Rng* rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (pattern) {
+      case 0:  // small range: many ties
+        v[i] = static_cast<double>(rng->UniformInt(0, 3));
+        break;
+      case 1:  // -inf runs between finite values
+        v[i] = (i / 5) % 3 == 0 ? static_cast<double>(rng->UniformInt(0, 9))
+                                : kNegInf;
+        break;
+      case 2:  // all -inf
+        v[i] = kNegInf;
+        break;
+      default:  // distinct values with one NaN
+        v[i] = rng->UniformDouble();
+        if (i == n / 2) v[i] = nan;
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(RmqTest, BlockRmqFromMaximaMatchesScannedBuild) {
+  for (const size_t n : {1, 63, 64, 65, 1000}) {
+    for (const size_t block : {1, 7, 64}) {
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " block=" +
+                     std::to_string(block) + " pattern=" +
+                     std::to_string(pattern));
+        Rng rng(n * 131 + block * 7 + static_cast<uint64_t>(pattern));
+        const std::vector<double> v = PatternValues(pattern, n, &rng);
+        const VecFn fn{&v};
+        const BlockRmq<VecFn> scanned(fn, n, block);
+        const BlockRmq<VecFn> given(fn, n, block, NaiveBlockMaxima(v, block));
+        ASSERT_EQ(SavedBytes(scanned), SavedBytes(given));
+        const bool has_nan = pattern == 3;
+        for (size_t l = 0; l < n; ++l) {
+          size_t want = l;  // BruteForceArgMax(fn, l, r), extended with r
+          for (size_t r = l; r < n; ++r) {
+            if (v[r] > v[want]) want = r;
+            const size_t got = given.ArgMax(l, r);
+            ASSERT_EQ(got, scanned.ArgMax(l, r)) << "[" << l << "," << r << "]";
+            // Combining parts is not associative across a NaN, so only
+            // NaN-free arrays are held to the brute-force answer.
+            if (!has_nan) {
+              ASSERT_EQ(got, want) << "[" << l << "," << r << "]";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RmqTest, BruteForceArgMaxReturnsLeftmostMaximum) {
+  const std::vector<double> v = {1, 5, 2, 5, 5, kNegInf, 3};
+  const VecFn fn{&v};
+  EXPECT_EQ(BruteForceArgMax(fn, 0, 6), 1u);
+  EXPECT_EQ(BruteForceArgMax(fn, 2, 6), 3u);
+  EXPECT_EQ(BruteForceArgMax(fn, 5, 5), 5u);
+  const RmqCandidate c = BruteForceCandidate(fn, 2, 6);
+  EXPECT_EQ(c.pos, 3u);
+  EXPECT_EQ(c.value, 5.0);
+  const std::vector<double> all_inf(9, kNegInf);
+  EXPECT_EQ(BruteForceArgMax(VecFn{&all_inf}, 2, 8), 2u);
+  // A NaN first candidate is never replaced; a later NaN never wins.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> lead_nan = {nan, 1, 2};
+  EXPECT_EQ(BruteForceArgMax(VecFn{&lead_nan}, 0, 2), 0u);
+  const std::vector<double> mid_nan = {1, nan, 2};
+  EXPECT_EQ(BruteForceArgMax(VecFn{&mid_nan}, 0, 2), 2u);
+}
+
+TEST(RmqTest, ConstructionEvaluatesEachValueOnce) {
+  Rng rng(5);
+  std::vector<double> v(5000);
+  for (auto& x : v) x = static_cast<double>(rng.UniformInt(0, 50));
+  size_t calls = 0;
+  const CountingFn fn{&v, &calls};
+  const BlockRmq<CountingFn> block(fn, v.size(), 64);
+  EXPECT_EQ(calls, v.size());
+  calls = 0;
+  const SparseTableRmq<CountingFn> sparse(fn, v.size());
+  EXPECT_EQ(calls, v.size());
+  calls = 0;
+  const FischerHeunRmq<CountingFn> fh(fn, v.size());
+  EXPECT_EQ(calls, v.size());
+  calls = 0;
+  const BlockRmq<CountingFn> given(fn, v.size(), 64, NaiveBlockMaxima(v, 64));
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(RmqTest, BlockQueryScansEachPositionOnce) {
+  // A query spanning whole blocks scans its two ragged parts once each and
+  // reads the middle's winner from the top table (at most two calls, one
+  // when both covering windows agree), never re-evaluating a candidate when
+  // combining.
+  std::vector<double> v(640);
+  for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i % 97);
+  size_t calls = 0;
+  const BlockRmq<CountingFn> block(CountingFn{&v, &calls}, v.size(), 64);
+  calls = 0;
+  const size_t got = block.ArgMax(10, 600);
+  EXPECT_EQ(got, BruteForceArgMax(VecFn{&v}, 10, 600));
+  EXPECT_GE(calls, (64 - 10) + (600 - 576 + 1) + 1u);
+  EXPECT_LE(calls, (64 - 10) + (600 - 576 + 1) + 2u);
 }
 
 }  // namespace

@@ -530,6 +530,58 @@ TEST(SerializationGoldenTest, ShardedSaveBytesArePinnedAtEveryThreadCount) {
   }
 }
 
+// The 150-position golden string above fits in a handful of 64-blocks and
+// has no long RMQ level at all. This input is large enough for hundreds of
+// blocks per depth, at least three kPow2 long levels and multi-level top
+// sparse tables, and carries many correlation rules, so the RMQ forest and
+// the active bitsets are pinned over every branch of their construction.
+// Recorded from the per-depth construction (one suffix-array pass per depth
+// and per long level) before the fused sweeps replaced it.
+UncertainString LargeGoldenString() {
+  UncertainString s = AddRule(test::RandomUncertain(
+      {.length = 20000, .alphabet = 4, .theta = 0.1, .seed = 43}));
+  EXPECT_EQ(test::AddRandomCorrelations(&s, 24, 4343), 24);
+  return s;
+}
+
+TEST(SerializationGoldenTest, LargeSaveBytesArePinnedAtEveryThreadCount) {
+  constexpr GoldenBytes kWant[] = {
+      {"large tree", 3, 7057800, 0xb8b4b823ae4f46feull},
+      {"large compact", 3, 20847776, 0xe053b931df7954f1ull},
+      {"large sharded tree", 3, 7013296, 0x4e1a7472f87ec273ull},
+      {"large sharded compact", 3, 19564680, 0x0160d520ad6b4c36ull},
+  };
+  const UncertainString s = LargeGoldenString();
+  for (const int32_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    size_t i = 0;
+    for (const bool compact : {false, true}) {
+      IndexOptions options;
+      options.transform.tau_min = 0.1;
+      options.compact = compact;
+      const auto index =
+          SubstringIndex::Build(s, options, {.threads = threads});
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      std::string blob;
+      ASSERT_TRUE(index->Save(&blob, serde::kContainerVersion).ok());
+      ExpectGolden(kWant[i++], blob);
+    }
+    for (const bool compact : {false, true}) {
+      ShardedIndexOptions options;
+      options.index.transform.tau_min = 0.1;
+      options.index.compact = compact;
+      options.num_shards = 3;
+      options.overlap = 64;
+      options.num_threads = threads;
+      const auto index = ShardedIndex::Build(s, options);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      std::string blob;
+      ASSERT_TRUE(index->Save(&blob, serde::kContainerVersion).ok());
+      ExpectGolden(kWant[i++], blob);
+    }
+  }
+}
+
 TEST(SerializationGoldenTest, ListingSaveBytesArePinned) {
   constexpr GoldenBytes kWant[] = {
       {"listing", 2, 180771, 0x3e3fdf9a781c7e16ull},
