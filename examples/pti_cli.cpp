@@ -901,14 +901,15 @@ int RunServeListener(pti::ServingEngine* engine, int32_t port) {
   const auto stats = engine->stats();
   std::fprintf(
       stderr,
-      "net: %llu conn(s) (%llu rejected), %llu frames in, %llu out, "
-      "%llu protocol error(s), %llu quer%s, %llu reload(s)\n"
+      "net: %llu conn(s) (%llu rejected), %llu frames in, %llu out "
+      "(%llu inline), %llu protocol error(s), %llu quer%s, %llu reload(s)\n"
       "serving: %llu submitted, %llu completed, %llu shed, %llu batches, "
       "%llu cache hits, %llu merges, generation %llu\n",
       static_cast<unsigned long long>(net.connections_accepted),
       static_cast<unsigned long long>(net.connections_rejected),
       static_cast<unsigned long long>(net.frames_received),
       static_cast<unsigned long long>(net.frames_sent),
+      static_cast<unsigned long long>(net.responses_inline),
       static_cast<unsigned long long>(net.protocol_errors),
       static_cast<unsigned long long>(net.queries),
       net.queries == 1 ? "y" : "ies",

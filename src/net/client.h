@@ -37,7 +37,8 @@ class NetClient {
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
 
-  /// Connects to an IPv4 host:port. Call once per client.
+  /// Connects to an IPv4 host:port. Fails if already connected; a client
+  /// may connect again after Close().
   Status Connect(const std::string& host, int32_t port);
 
   /// Closes the socket; further calls fail with IOError. Idempotent.

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <future>
 #include <mutex>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -39,6 +40,7 @@ struct NetServer::Impl {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Outbound> outbound;  // guarded by mu, bounded by max_pipeline
+    bool writer_busy = false;       // guarded by mu: popped, not yet sent
     bool reader_done = false;       // guarded by mu: no more pushes coming
     bool aborted = false;           // guarded by mu: tear down now
     std::atomic<int> live_threads{2};
@@ -142,10 +144,31 @@ struct NetServer::Impl {
     ShutdownFd(c->fd);
   }
 
-  // Queues one response; blocks when the connection's pipeline is full
-  // (backpressure toward a client that is not reading). False when the
-  // connection is being torn down.
+  // Hands one response to the connection, in request order. A response
+  // that is already answered (a raw frame, or a future the engine resolved
+  // inside Submit, e.g. a cache hit) while nothing is queued or being sent
+  // goes out on the reader thread itself: no writer wake-up, no second
+  // context switch. Anything else is queued for the writer, blocking when
+  // the pipeline is full (backpressure toward a client that is not
+  // reading). False when the connection is being torn down.
   bool Enqueue(Conn* c, Outbound item) {
+    const bool ready =
+        !item.result.valid() ||
+        item.result.wait_for(std::chrono::seconds(0)) ==
+            std::future_status::ready;
+    bool writer_idle = false;
+    if (ready) {
+      std::lock_guard<std::mutex> lock(c->mu);
+      writer_idle = !c->aborted && c->outbound.empty() && !c->writer_busy;
+    }
+    if (writer_idle) {
+      // Only this thread pushes, so the queue stays empty and the writer
+      // idle until the send below returns: FIFO order holds. The writer has
+      // nothing new to see, so cv is not notified.
+      if (!Send(c, std::move(item))) return false;
+      responses_inline.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
     {
       std::unique_lock<std::mutex> lock(c->mu);
       c->cv.wait(lock, [this, c] {
@@ -155,6 +178,25 @@ struct NetServer::Impl {
       c->outbound.push_back(std::move(item));
     }
     c->cv.notify_all();
+    return true;
+  }
+
+  // Encodes and writes one response, waiting for its future if needed.
+  // False (after aborting the connection) when the client is gone.
+  bool Send(Conn* c, Outbound item) {
+    std::string frame;
+    if (item.result.valid()) {
+      ServingEngine::Result result = item.result.get();
+      frame = EncodeResult(item.id, result.status,
+                           Span<const Match>(result.matches));
+    } else {
+      frame = std::move(item.raw);
+    }
+    if (!WriteFull(c->fd, frame.data(), frame.size())) {
+      Abort(c);  // client is gone; unblock the other thread too
+      return false;
+    }
+    frames_sent.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
@@ -241,11 +283,14 @@ struct NetServer::Impl {
     return false;
   }
 
+  // Resolves the responses the reader could not send itself (futures still
+  // pending at Submit, and everything queued behind them), in FIFO order.
   void WriterLoop(Conn* c) {
     for (;;) {
       Outbound item;
       {
         std::unique_lock<std::mutex> lock(c->mu);
+        c->writer_busy = false;
         c->cv.wait(lock, [c] {
           return c->aborted || c->reader_done || !c->outbound.empty();
         });
@@ -253,21 +298,10 @@ struct NetServer::Impl {
         if (c->outbound.empty()) break;  // reader done and fully drained
         item = std::move(c->outbound.front());
         c->outbound.pop_front();
+        c->writer_busy = true;
       }
       c->cv.notify_all();  // reader may be blocked on the pipeline bound
-      std::string frame;
-      if (item.result.valid()) {
-        ServingEngine::Result result = item.result.get();
-        frame = EncodeResult(item.id, result.status,
-                             Span<const Match>(result.matches));
-      } else {
-        frame = std::move(item.raw);
-      }
-      if (!WriteFull(c->fd, frame.data(), frame.size())) {
-        Abort(c);  // client is gone; unblock the reader too
-        break;
-      }
-      frames_sent.fetch_add(1, std::memory_order_relaxed);
+      if (!Send(c, std::move(item))) break;
     }
     MarkThreadDone(c);
   }
@@ -312,6 +346,7 @@ struct NetServer::Impl {
   std::atomic<uint64_t> accept_failures{0};
   std::atomic<uint64_t> frames_received{0};
   std::atomic<uint64_t> frames_sent{0};
+  std::atomic<uint64_t> responses_inline{0};
   std::atomic<uint64_t> protocol_errors{0};
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> reloads{0};
@@ -347,6 +382,7 @@ NetServer::Stats NetServer::stats() const {
   }
   s.frames_received = impl.frames_received.load(std::memory_order_relaxed);
   s.frames_sent = impl.frames_sent.load(std::memory_order_relaxed);
+  s.responses_inline = impl.responses_inline.load(std::memory_order_relaxed);
   s.protocol_errors = impl.protocol_errors.load(std::memory_order_relaxed);
   s.queries = impl.queries.load(std::memory_order_relaxed);
   s.reloads = impl.reloads.load(std::memory_order_relaxed);

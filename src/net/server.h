@@ -3,16 +3,23 @@
 //
 //   accept loop ──▶ per-connection reader ──decode──▶ engine.Submit(Request)
 //                        │                                  │ future
-//                        │ bounded outbound queue ◀─────────┘
+//                        │◀─────────────────────────────────┘
+//                        ├─ ready, nothing queued ──encode──▶ socket
+//                        │
+//                        │ otherwise: bounded outbound queue
 //                        ▼
-//                   per-connection writer ──encode──▶ socket
+//                   per-connection writer ──wait, encode──▶ socket
 //
-// One reader + one writer thread per connection; the reader decodes frames
-// (net/protocol.h) and submits, the writer resolves futures in FIFO order
-// and streams responses back, so a client may pipeline requests and still
-// receives responses in send order, each echoing its request id. The
-// outbound queue is bounded: a client that stops reading eventually blocks
-// its own reader (TCP backpressure), never the engine or other clients.
+// One reader + one writer thread per connection. The reader decodes frames
+// (net/protocol.h) and submits. A response that is ready when Submit
+// returns (a cache hit, an admin or error reply) goes out on the reader
+// thread itself, provided nothing is queued ahead of it and the writer is
+// not mid-send. Every other response is queued, and the writer resolves
+// those futures in FIFO order and streams them back. Either way a client
+// may pipeline requests and still receives responses in send order, each
+// echoing its request id. The outbound queue is bounded: a client that
+// stops reading eventually blocks its own reader (TCP backpressure), never
+// the engine or other clients.
 //
 // Robustness contract (exercised by tests/net_server_test.cc): a hostile
 // payload inside an intact frame gets an error kResult and the connection
@@ -72,6 +79,8 @@ class NetServer {
                                    ///< ended the accept loop (should be 0)
     uint64_t frames_received = 0;       ///< well-framed payloads read
     uint64_t frames_sent = 0;
+    uint64_t responses_inline = 0;  ///< of frames_sent, sent by the reader
+                                    ///< without the writer handoff
     uint64_t protocol_errors = 0;  ///< hostile frames (either severity)
     uint64_t queries = 0;          ///< kQuery frames submitted
     uint64_t reloads = 0;          ///< kReload frames attempted

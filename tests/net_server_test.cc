@@ -5,13 +5,18 @@
 // stopping service to the connection (intact) or the server (broken);
 // reload works over the wire under concurrent query traffic; and under
 // overload the bounded batch lane sheds with Unavailable while the
-// interactive lane keeps completing. The suite is in the sanitize and tsan
-// CI regexes.
+// interactive lane keeps completing. Ready responses sent by the reader
+// thread itself keep FIFO order with the ones the writer resolves, frames
+// survive any split across recv calls on either side, and a reader blocked
+// in its own send never stalls Stop() or other connections. The suite is
+// in the sanitize and tsan CI regexes.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -21,6 +26,7 @@
 #include "core/substring_index.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "net/socket.h"
 #include "test_util.h"
 #include "util/serial.h"
 
@@ -45,6 +51,16 @@ SubstringIndex BuildMono(const UncertainString& s) {
   auto index = SubstringIndex::Build(s, options);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   return std::move(index).value();
+}
+
+// A certain string of n 'a's: the pattern "a" matches at every position,
+// so its result frame is about 16 * n bytes.
+UncertainString MakeUnary(int64_t n) {
+  UncertainString s;
+  for (int64_t i = 0; i < n; ++i) {
+    s.AddPosition({{static_cast<uint8_t>('a'), 1.0}});
+  }
+  return s;
 }
 
 // Engine + started server + the synchronous reference index, torn down in
@@ -163,6 +179,244 @@ TEST(NetServerTest, PipelinedResponsesArriveInOrderWithMatchingIds) {
     EXPECT_EQ(frame.code, expected_status.code());
     EXPECT_TRUE(frame.matches == expected) << "response #" << q;
   }
+}
+
+TEST(NetServerTest, InlineHitsAndQueuedMissesKeepSendOrder) {
+  const UncertainString s = MakeString(300, 36);
+  LiveServer live(s);
+
+  // Answer the repeated request once on another connection, so it is a
+  // cache hit (ready at Submit) from here on, and the pipelining
+  // connection starts with an idle writer: its first response, a hit, is
+  // sent by the reader itself.
+  const Request hit{test::PatternFromString(s, 10, 4, 37), 0.3};
+  std::vector<Match> matches;
+  {
+    NetClient warm;
+    ASSERT_TRUE(warm.Connect(kHost, live.server.port()).ok());
+    ASSERT_TRUE(warm.Query(hit, &matches).ok());
+  }
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kHost, live.server.port()).ok());
+  constexpr size_t kPipelined = 64;
+  Rng rng(38);
+  std::vector<uint64_t> ids;
+  std::vector<Request> requests;
+  for (size_t q = 0; q < kPipelined; ++q) {
+    Request request = hit;
+    if (q % 2 == 1) {
+      // A fresh key (the tau alone is new) that misses the cache and
+      // waits out the engine's linger window.
+      const size_t len = 2 + rng.Uniform(4);
+      request.pattern = test::PatternFromString(
+          s, static_cast<int64_t>(rng.Uniform(s.size() - len + 1)), len,
+          rng.Next());
+      request.tau = 0.1 + 0.005 * static_cast<double>(q);
+    }
+    uint64_t id = 0;
+    ASSERT_TRUE(client.SendQuery(request, &id).ok());
+    ids.push_back(id);
+    requests.push_back(std::move(request));
+  }
+  for (size_t q = 0; q < kPipelined; ++q) {
+    Frame frame;
+    ASSERT_TRUE(client.Receive(&frame).ok()) << "response #" << q;
+    EXPECT_EQ(frame.type, FrameType::kResult);
+    EXPECT_EQ(frame.id, ids[q]) << "response #" << q;
+    std::vector<Match> expected;
+    const Status expected_status =
+        live.reference.Query(requests[q].pattern, requests[q].tau, &expected);
+    EXPECT_EQ(frame.code, expected_status.code()) << "response #" << q;
+    EXPECT_TRUE(frame.matches == expected) << "response #" << q;
+  }
+  const auto stats = live.server.stats();
+  EXPECT_EQ(stats.frames_sent, kPipelined + 1);
+  // At least the first hit skipped the writer; the misses cannot.
+  EXPECT_GT(stats.responses_inline, 0u);
+  EXPECT_LT(stats.responses_inline, stats.frames_sent);
+}
+
+TEST(NetServerTest, ReadyResponseWaitsForTheOneTheWriterIsSending) {
+  const UncertainString s = MakeString(200, 131);
+  ServingOptions engine_options;
+  engine_options.linger_us = 200000;  // a lone miss waits this long
+  LiveServer live(s, engine_options);
+
+  const Request hit{test::PatternFromString(s, 10, 4, 132), 0.3};
+  const Request miss{test::PatternFromString(s, 40, 3, 133), 0.2};
+  std::vector<Match> matches;
+  {
+    NetClient warm;
+    ASSERT_TRUE(warm.Connect(kHost, live.server.port()).ok());
+    ASSERT_TRUE(warm.Query(hit, &matches).ok());
+  }
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kHost, live.server.port()).ok());
+  uint64_t miss_id = 0;
+  uint64_t hit_id = 0;
+  ASSERT_TRUE(client.SendQuery(miss, &miss_id).ok());
+  // Long enough for the writer to pop the miss and block on its future:
+  // the queue is empty then, but the hit must still not overtake it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(client.SendQuery(hit, &hit_id).ok());
+  Frame frame;
+  ASSERT_TRUE(client.Receive(&frame).ok());
+  EXPECT_EQ(frame.id, miss_id);
+  ASSERT_TRUE(client.Receive(&frame).ok());
+  EXPECT_EQ(frame.id, hit_id);
+  std::vector<Match> expected;
+  ASSERT_TRUE(live.reference.Query(hit.pattern, hit.tau, &expected).ok());
+  EXPECT_TRUE(frame.matches == expected);
+}
+
+TEST(NetServerTest, ServerReadsFramesHoweverTheyAreSplit) {
+  const UncertainString s = MakeString(250, 121);
+  LiveServer live(s);
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kHost, live.server.port()).ok());
+  Rng rng(122);
+  uint64_t next_id = 500;
+  std::vector<uint64_t> ids;
+  std::vector<Request> requests;
+  auto next_frame = [&] {
+    const size_t len = 1 + rng.Uniform(5);
+    Request request;
+    request.pattern = test::PatternFromString(
+        s, static_cast<int64_t>(rng.Uniform(s.size() - len + 1)), len,
+        rng.Next());
+    request.tau = 0.2;
+    ids.push_back(next_id);
+    requests.push_back(request);
+    return EncodeQuery(next_id++, request);
+  };
+
+  // Several complete frames in one send.
+  std::string batch;
+  for (int f = 0; f < 5; ++f) batch += next_frame();
+  ASSERT_TRUE(client.SendRaw(batch.data(), batch.size()).ok());
+  // One frame a byte at a time (TCP_NODELAY: each byte its own segment).
+  const std::string trickle = next_frame();
+  for (char byte : trickle) ASSERT_TRUE(client.SendRaw(&byte, 1).ok());
+  // Header, then payload.
+  const std::string split = next_frame();
+  ASSERT_TRUE(client.SendRaw(split.data(), kFrameHeaderBytes).ok());
+  ASSERT_TRUE(client
+                  .SendRaw(split.data() + kFrameHeaderBytes,
+                           split.size() - kFrameHeaderBytes)
+                  .ok());
+
+  for (size_t q = 0; q < ids.size(); ++q) {
+    Frame frame;
+    ASSERT_TRUE(client.Receive(&frame).ok()) << "response #" << q;
+    EXPECT_EQ(frame.id, ids[q]);
+    std::vector<Match> expected;
+    const Status expected_status =
+        live.reference.Query(requests[q].pattern, requests[q].tau, &expected);
+    EXPECT_EQ(frame.code, expected_status.code());
+    EXPECT_TRUE(frame.matches == expected) << "response #" << q;
+  }
+  EXPECT_EQ(live.server.stats().protocol_errors, 0u);
+}
+
+TEST(NetServerTest, ClientReadsAResultFrameSpanningManyRecvs) {
+  // 20,000 matches of 16 bytes: a ~320 KB result frame, several times what
+  // one recv returns on loopback.
+  const UncertainString s = MakeUnary(20000);
+  LiveServer live(s);
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kHost, live.server.port()).ok());
+  std::vector<Match> expected;
+  ASSERT_TRUE(live.reference.Query("a", 0.5, &expected).ok());
+  ASSERT_EQ(expected.size(), 20000u);
+  // Twice, so the second (a cache hit) follows the first on the stream.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<Match> matches;
+    ASSERT_TRUE(client.Query({"a", 0.5}, &matches).ok());
+    EXPECT_TRUE(matches == expected) << "round " << round;
+  }
+}
+
+TEST(NetServerTest, ClientReconnectReadsOnlyTheNewSocket) {
+  // A scripted peer instead of a NetServer, so the bytes left unread on the
+  // first connection are known exactly. A client that read ahead (buffered
+  // or otherwise) must not hand them out after reconnecting.
+  int listen_fd = -1;
+  int32_t port = 0;
+  ASSERT_TRUE(ListenTcp(kHost, 0, 4, &listen_fd, &port).ok());
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(kHost, port).ok());
+  int peer = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  // Two frames in one write; Receive hands back only the first.
+  const std::string two =
+      EncodeResult(1, Status::OK(), {}) + EncodeResult(2, Status::OK(), {});
+  ASSERT_TRUE(WriteFull(peer, two.data(), two.size()));
+  Frame frame;
+  ASSERT_TRUE(client.Receive(&frame).ok());
+  EXPECT_EQ(frame.id, 1u);
+  client.Close();
+  CloseFd(peer);
+
+  ASSERT_TRUE(client.Connect(kHost, port).ok());
+  peer = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  const std::string third = EncodeResult(3, Status::OK(), {});
+  ASSERT_TRUE(WriteFull(peer, third.data(), third.size()));
+  ASSERT_TRUE(client.Receive(&frame).ok());
+  EXPECT_EQ(frame.id, 3u);  // not the stale frame 2
+  client.Close();
+  CloseFd(peer);
+  CloseFd(listen_fd);
+}
+
+TEST(NetServerTest, ReaderBlockedInItsOwnSendStillStopsCleanly) {
+  // Each answer to "a" is ~64 KiB; kRequests of them overflow any socket
+  // buffer while the requests themselves (~30 bytes each) never fill one.
+  const UncertainString s = MakeUnary(4000);
+  LiveServer live(s);
+  const Request request{"a", 0.5};
+
+  // Make "a" a cache hit, so every pipelined answer is ready at Submit and
+  // the reader sends it itself.
+  NetClient other;
+  ASSERT_TRUE(other.Connect(kHost, live.server.port()).ok());
+  std::vector<Match> matches;
+  ASSERT_TRUE(other.Query(request, &matches).ok());
+
+  // A client that pipelines and never reads.
+  constexpr uint64_t kRequests = 1000;
+  NetClient stalled;
+  ASSERT_TRUE(stalled.Connect(kHost, live.server.port()).ok());
+  for (uint64_t q = 0; q < kRequests; ++q) {
+    uint64_t id = 0;
+    ASSERT_TRUE(stalled.SendQuery(request, &id).ok());
+  }
+  // Wait until the server stops making progress on it: its reader is
+  // parked inside a send the full socket buffers cannot take.
+  uint64_t sent = 0;
+  for (int still = 0; still < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t now = live.server.stats().frames_sent;
+    still = (now == sent) ? still + 1 : 0;
+    sent = now;
+  }
+  EXPECT_LT(sent, kRequests + 1);
+  EXPECT_GT(live.server.stats().responses_inline, 0u);
+
+  // Other connections are still served...
+  for (int q = 0; q < 3; ++q) {
+    ASSERT_TRUE(other.Query(request, &matches).ok());
+    EXPECT_EQ(matches.size(), 4000u);
+  }
+  // ...and Stop() returns: aborting the connection shuts its socket down,
+  // which fails the blocked send.
+  live.server.Stop();
+  EXPECT_FALSE(other.Query(request, &matches).ok());
 }
 
 TEST(NetServerTest, HostilePayloadGetsErrorAndConnectionKeepsServing) {
@@ -412,11 +666,8 @@ TEST(NetServerTest, OverloadShedsBatchWhileInteractiveCompletes) {
 TEST(NetServerTest, OversizedResultIsResourceExhaustedNotADisconnect) {
   // A certain unary string: the single-character pattern matches at every
   // position, overflowing the 1 MiB kResult frame cap by construction.
-  UncertainString s;
-  const int64_t n = static_cast<int64_t>(kMaxResultMatches) + 1000;
-  for (int64_t i = 0; i < n; ++i) {
-    s.AddPosition({{static_cast<uint8_t>('a'), 1.0}});
-  }
+  const UncertainString s =
+      MakeUnary(static_cast<int64_t>(kMaxResultMatches) + 1000);
   ServingEngine engine(BuildMono(s), {});
   NetServer server(&engine);
   ASSERT_TRUE(server.Start().ok());
