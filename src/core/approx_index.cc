@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <unordered_map>
 
+#include "core/reporting_core.h"
 #include "core/serde.h"
 #include "suffix/suffix_tree.h"
 #include "util/serial.h"
@@ -12,10 +11,6 @@
 namespace pti {
 
 namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-int64_t RuleKey(int64_t pos, uint8_t ch) { return pos * 256 + ch; }
-
 // One epsilon-partitioned link. Origin point: (origin_node, origin_depth) —
 // origin_node is the real node at or directly below the point (the point
 // lies on its incoming edge). Target point likewise.
@@ -35,9 +30,9 @@ struct ApproxIndex::Impl {
   FactorSet fs;
   SuffixTree st;
 
-  std::vector<double> c;
-  std::vector<int32_t> remaining;
-  std::unordered_map<int64_t, const CorrelationRule*> rules;
+  // Window model over fs.text: the exact, correlation-resolved window
+  // log-probabilities the links are cut from.
+  ReportingCore core;
 
   std::vector<Link> links;          // sorted by (target_node, origin_node)
   std::vector<int64_t> target_off;  // CSR into links by target node
@@ -46,56 +41,19 @@ struct ApproxIndex::Impl {
 
   size_t N() const { return fs.text.size(); }
 
-  // Exact log-probability of the window of `len` characters starting at text
-  // position q, correlation-resolved for that window.
-  double WindowLog(int64_t q, int32_t len) const {
-    if (len <= 0) return 0.0;
-    if (remaining[q] < len) return kNegInf;
-    double v = c[q + len] - c[q];
-    if (!fs.corr_positions.empty()) {
-      auto it = std::lower_bound(fs.corr_positions.begin(),
-                                 fs.corr_positions.end(), q);
-      for (; it != fs.corr_positions.end() && *it < q + len; ++it) {
-        const int64_t z = *it;
-        const uint8_t ch = static_cast<uint8_t>(fs.text.chars()[z]);
-        const CorrelationRule* rule = rules.at(RuleKey(fs.pos[z], ch));
-        const int64_t ws = fs.pos[q];
-        double p;
-        if (rule->dep_pos >= ws && rule->dep_pos < ws + len) {
-          const int64_t zdep = q + (rule->dep_pos - ws);
-          p = fs.text.chars()[zdep] == rule->dep_ch ? rule->prob_if_present
-                                                    : rule->prob_if_absent;
-        } else {
-          const double dep = source.BaseProb(rule->dep_pos, rule->dep_ch);
-          p = dep * rule->prob_if_present +
-              (1.0 - dep) * rule->prob_if_absent;
-        }
-        v += (p <= 0.0 ? kNegInf : std::log(p)) - fs.logp[z];
-      }
-    }
-    return v;
-  }
-
   struct LinkLogFn {
     const Impl* impl;
     double operator()(size_t j) const { return impl->links[j].logp; }
   };
 
   Status Finish() {
-    const size_t n_text = N();
     st = SuffixTree::Build(fs.text.chars(), fs.text.alphabet_size());
     st.BuildLcaSupport();
 
-    rules.clear();
-    for (const CorrelationRule& r : source.correlations()) {
-      rules[RuleKey(r.pos, r.ch)] = &r;
-    }
-    c.assign(n_text + 1, 0.0);
-    for (size_t k = 0; k < n_text; ++k) c[k + 1] = c[k] + fs.logp[k];
-    remaining.assign(n_text, 0);
-    for (int64_t q = static_cast<int64_t>(n_text) - 1; q >= 0; --q) {
-      remaining[q] = fs.text.IsSentinel(q) ? 0 : remaining[q + 1] + 1;
-    }
+    core.BuildWindowModel(fs.text, fs.logp.span());
+    PTI_RETURN_IF_ERROR(core.ResolveCorrelations(
+        fs.corr_positions.span(), fs.logp.span(),
+        [this](int64_t z) { return RuleSite{&source, fs.pos[z]}; }));
 
     BuildLinks();
     if (!links.empty()) {
@@ -173,20 +131,20 @@ struct ApproxIndex::Impl {
   // predicate only ever needs (u, v, the two depths): no dummy-node ids.
   void EmitLink(int32_t u, int32_t v, int64_t d, int32_t rep_sa) {
     const int64_t q = st.sa()[rep_sa];
-    const int32_t t_bottom = std::min(st.depth(u), remaining[q]);
+    const int32_t t_bottom = std::min(st.depth(u), core.remaining[q]);
     const int32_t t_top = st.depth(v);
     if (t_bottom <= t_top) return;  // fully beyond the factor: nothing to add
     const double eps = options.epsilon;
     // Without correlations in range the window probability is monotone
-    // non-increasing in length, so the climb can binary-search the prefix
-    // sums; correlation rules can break monotonicity (a case-1 resolution
-    // may beat the stored optimistic value's marginal), forcing a linear
-    // climb for those (rare) chains.
+    // non-increasing in length, so the climb can binary-search it;
+    // correlation rules can break monotonicity (a case-1 resolution may beat
+    // the stored optimistic value's marginal), forcing a linear climb for
+    // those (rare) chains.
     const bool monotone =
         fs.corr_positions.empty() ||
         !HasCorrInRange(q, q + t_bottom);
     int32_t bottom = t_bottom;
-    double bottom_logp = WindowLog(q, bottom);
+    double bottom_logp = core.WindowValue(q, bottom);
     while (bottom > t_top) {
       const double limit = std::exp(bottom_logp) + eps;
       int32_t top;
@@ -196,7 +154,7 @@ struct ApproxIndex::Impl {
         int32_t lo = t_top, hi = bottom;  // answer in [lo, hi]
         while (lo < hi) {
           const int32_t mid = lo + (hi - lo) / 2;
-          if (c[q + mid] - c[q] <= log_limit + 1e-12) {
+          if (core.WindowValue(q, mid) <= log_limit + 1e-12) {
             hi = mid;
           } else {
             lo = mid + 1;
@@ -205,7 +163,9 @@ struct ApproxIndex::Impl {
         top = lo;
       } else {
         top = bottom;
-        while (top > t_top && std::exp(WindowLog(q, top - 1)) <= limit) --top;
+        while (top > t_top && std::exp(core.WindowValue(q, top - 1)) <= limit) {
+          --top;
+        }
       }
       if (top == bottom) {
         // A single character step already exceeds epsilon; take it anyway
@@ -222,7 +182,7 @@ struct ApproxIndex::Impl {
       link.logp = bottom_logp;
       links.push_back(link);
       bottom = top;
-      bottom_logp = WindowLog(q, bottom);
+      bottom_logp = core.WindowValue(q, bottom);
     }
   }
 
@@ -235,18 +195,8 @@ struct ApproxIndex::Impl {
   Status Query(const std::string& pattern, double tau,
                std::vector<Match>* out) const {
     out->clear();
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
-    const LogProb lt = LogProb::FromLinear(tau);
-    const LogProb lmin = LogProb::FromLinear(fs.tau_min);
-    if (!lt.MeetsThreshold(lmin)) {
-      return Status::InvalidArgument(
-          "tau is below the construction-time tau_min");
-    }
+    PTI_RETURN_IF_ERROR(
+        CheckQueryArgs(pattern, tau, LogProb::FromLinear(fs.tau_min)));
     if (links.empty()) return Status::OK();
     const auto range = st.FindRange(Text::MapPattern(pattern));
     if (!range.has_value() || range->empty()) return Status::OK();
@@ -281,28 +231,24 @@ struct ApproxIndex::Impl {
                            sub_end, cmp) -
           links.begin();
       if (lo >= hi) continue;
-      // Recursive RMQ over link probabilities; filters reject but do not
-      // stop the recursion (rejected links may hide qualifying ones).
-      std::vector<std::pair<int64_t, int64_t>> stack{{lo, hi - 1}};
-      while (!stack.empty()) {
-        auto [a, b] = stack.back();
-        stack.pop_back();
-        if (a > b) continue;
-        const size_t pos = link_rmq->ArgMax(a, b);
-        const Link& link = links[pos];
-        if (!LogProb::FromLog(link.logp).MeetsThreshold(log_floor)) continue;
-        // Stabbing: origin node inside subtree(w) (guaranteed by the segment
-        // bounds) and the link's depth interval (t_t, t_o] contains m.
-        if (link.target_depth < m && link.origin_depth >= m) {
-          double prob = std::exp(link.logp);
-          if (options.exact_probabilities) {
-            prob = source.OccurrenceProb(pattern, link.position).ToLinear();
-          }
-          out->push_back(Match{link.position, prob});
-        }
-        stack.emplace_back(a, static_cast<int64_t>(pos) - 1);
-        stack.emplace_back(static_cast<int64_t>(pos) + 1, b);
-      }
+      // Recursive RMQ over link probabilities; the stabbing test rejects
+      // but does not stop the recursion (rejected links may hide
+      // qualifying ones).
+      ExtractMaxima(
+          *link_rmq, lo, hi - 1, log_floor,
+          [this](size_t j) { return links[j].logp; },
+          [&](size_t j, double logp) {
+            // Stabbing: origin node inside subtree(w) (guaranteed by the
+            // segment bounds) and the link's depth interval (t_t, t_o]
+            // contains m.
+            const Link& link = links[j];
+            if (link.target_depth >= m || link.origin_depth < m) return;
+            const double prob =
+                options.exact_probabilities
+                    ? source.OccurrenceProb(pattern, link.position).ToLinear()
+                    : std::exp(logp);
+            out->push_back(Match{link.position, prob});
+          });
     }
     std::sort(out->begin(), out->end(), [](const Match& a, const Match& b) {
       return a.position < b.position;
@@ -415,8 +361,7 @@ StatusOr<ApproxIndex> ApproxIndex::Load(std::string_view data) {
 size_t ApproxIndex::MemoryUsage() const {
   const Impl& i = *impl_;
   size_t bytes = i.source.MemoryUsage() + i.fs.MemoryUsage() +
-                 i.st.MemoryUsage() + i.c.capacity() * sizeof(double) +
-                 i.remaining.capacity() * sizeof(int32_t) +
+                 i.st.MemoryUsage() + i.core.MemoryUsage() +
                  i.links.capacity() * sizeof(Link) +
                  i.target_off.capacity() * sizeof(int64_t);
   if (i.link_rmq) bytes += i.link_rmq->MemoryUsage();

@@ -6,19 +6,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/reporting_core.h"
 #include "core/serde.h"
 #include "suffix/suffix_tree.h"
 #include "util/serial.h"
 
 namespace pti {
-
-namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-int64_t RuleKey(int64_t global_pos, uint8_t ch) {
-  return global_pos * 256 + ch;
-}
-}  // namespace
 
 struct ListingIndex::Impl {
   std::vector<UncertainString> docs;
@@ -31,22 +24,10 @@ struct ListingIndex::Impl {
   std::vector<double> logp;        // per text position (0.0 on sentinels)
   std::vector<int64_t> corr_positions;
   std::vector<int64_t> doc_base;   // prefix sums of document lengths
-  std::unordered_map<int64_t, std::pair<int32_t, const CorrelationRule*>>
-      rules;  // key: global pos * 256 + ch -> (doc, rule)
 
   SuffixTree st;
-  std::vector<double> c;
-  std::vector<int32_t> remaining;
-
-  int32_t K = 0;
-  std::vector<std::vector<uint64_t>> active;
-  std::vector<std::unique_ptr<RmqHandle>> short_rmq;
-  struct LongLevel {
-    int32_t depth = 0;
-    std::unique_ptr<RmqHandle> rmq;
-  };
-  std::vector<LongLevel> long_levels;
-  int32_t max_remaining = 0;
+  // Window model and RMQ forest over text; the active bits are §6's.
+  ReportingCore core;
 
   size_t N() const { return text.size(); }
 
@@ -54,102 +35,46 @@ struct ListingIndex::Impl {
     return doc_base[doc_of[q]] + pos_in_doc[q];
   }
 
-  bool ActiveBit(int32_t depth, size_t j) const {
-    return (active[depth - 1][j >> 6] >> (j & 63)) & 1;
-  }
-
-  double RawValue(int32_t depth, size_t j) const {
-    const int64_t q = st.sa()[j];
-    if (remaining[q] < depth) return kNegInf;
-    double v = c[q + depth] - c[q];
-    if (!corr_positions.empty()) {
-      auto it =
-          std::lower_bound(corr_positions.begin(), corr_positions.end(), q);
-      for (; it != corr_positions.end() && *it < q + depth; ++it) {
-        v += Adjustment(*it, q, depth);
-      }
-    }
-    return v;
-  }
-
-  double Adjustment(int64_t z, int64_t q, int32_t depth) const {
-    const uint8_t ch = static_cast<uint8_t>(text.chars()[z]);
-    const auto& [doc, rule] = rules.at(RuleKey(GlobalPos(z), ch));
-    const int64_t ws = pos_in_doc[q];
-    double p;
-    if (rule->dep_pos >= ws && rule->dep_pos < ws + depth) {
-      const int64_t zdep = q + (rule->dep_pos - ws);
-      const bool present = text.chars()[zdep] == rule->dep_ch;
-      p = present ? rule->prob_if_present : rule->prob_if_absent;
-    } else {
-      const double dep = docs[doc].BaseProb(rule->dep_pos, rule->dep_ch);
-      p = dep * rule->prob_if_present + (1.0 - dep) * rule->prob_if_absent;
-    }
-    return (p <= 0.0 ? kNegInf : std::log(p)) - logp[z];
-  }
-
-  struct RawFn {
-    const Impl* impl;
-    int32_t depth;
-    double operator()(size_t j) const { return impl->RawValue(depth, j); }
-  };
-  struct ActiveFn {
-    const Impl* impl;
-    int32_t depth;
-    double operator()(size_t j) const {
-      return impl->ActiveBit(depth, j) ? impl->RawValue(depth, j) : kNegInf;
-    }
-  };
-
-  // Correlated text positions and the rule table, keyed by global position.
-  // Derived purely from (docs, text, doc_of, pos_in_doc), so Build and Load
-  // share it; rules.at() at query time can only see keys recorded here.
-  void BuildRules() {
-    corr_positions.clear();
-    rules.clear();
-    for (size_t q = 0; q < text.size(); ++q) {
-      if (doc_of[q] < 0) continue;
-      const auto& doc = docs[doc_of[q]];
-      const uint8_t ch = static_cast<uint8_t>(text.chars()[q]);
-      if (const CorrelationRule* rule = doc.FindRule(pos_in_doc[q], ch)) {
-        corr_positions.push_back(static_cast<int64_t>(q));
-        rules[RuleKey(GlobalPos(q), ch)] = {doc_of[q], rule};
-      }
-    }
-  }
-
+  // Everything derived from (docs, text, doc_of, pos_in_doc, logp), so Build
+  // and Load share it.
   Status Finish() {
-    const size_t n_text = N();
+    corr_positions.clear();
+    for (size_t q = 0; q < N(); ++q) {
+      if (doc_of[q] < 0) continue;
+      const uint8_t ch = static_cast<uint8_t>(text.chars()[q]);
+      if (docs[doc_of[q]].FindRule(pos_in_doc[q], ch) != nullptr) {
+        corr_positions.push_back(static_cast<int64_t>(q));
+      }
+    }
     st = SuffixTree::Build(text.chars(), text.alphabet_size());
-    c.assign(n_text + 1, 0.0);
-    for (size_t k = 0; k < n_text; ++k) c[k + 1] = c[k] + logp[k];
-    remaining.assign(n_text, 0);
-    max_remaining = 0;
-    for (int64_t q = static_cast<int64_t>(n_text) - 1; q >= 0; --q) {
-      remaining[q] = text.IsSentinel(q) ? 0 : remaining[q + 1] + 1;
-      max_remaining = std::max(max_remaining, remaining[q]);
-    }
-    if (options.max_short_depth > 0) {
-      K = options.max_short_depth;
-    } else {
-      K = 1;
-      while ((size_t{1} << K) < std::max<size_t>(n_text, 2)) ++K;
-    }
-    K = std::max(1, std::min<int32_t>(K, std::max(max_remaining, 1)));
+    core.sa = st.sa();
+    core.BuildWindowModel(text, logp);
+    PTI_RETURN_IF_ERROR(core.ResolveCorrelations(
+        corr_positions, logp, [this](int64_t z) {
+          return RuleSite{&docs[doc_of[z]], pos_in_doc[z]};
+        }));
+    core.ComputeK(options.max_short_depth);
+    BuildMaxActive();
+    core.BuildForest(options.rmq_engine, core.Pow2Depths(), nullptr);
+    return Status::OK();
+  }
 
-    // §6 duplicate elimination: within every depth-i partition keep, per
-    // document, the entry whose window probability is largest (= Rel_max).
-    active.assign(K, std::vector<uint64_t>((n_text + 63) / 64, 0));
+  // §6 duplicate elimination: within every depth-i partition keep, per
+  // document, the entry whose window probability is largest (= Rel_max).
+  void BuildMaxActive() {
+    const size_t n_text = N();
+    const int32_t K = core.K;
+    core.active.assign(K, VecOrView<uint64_t>());
     const int32_t ndocs = static_cast<int32_t>(docs.size());
     std::vector<int64_t> seen(std::max(ndocs, 1), -1);
     std::vector<size_t> best_j(std::max(ndocs, 1), 0);
-    std::vector<double> best_v(std::max(ndocs, 1), kNegInf);
+    std::vector<double> best_v(std::max(ndocs, 1), ReportingCore::kNegInf);
     std::vector<int32_t> in_partition;
     int64_t stamp = 0;
     const auto& lcp = st.lcp();
     const auto& sa = st.sa();
     for (int32_t i = 1; i <= K; ++i) {
-      auto& bits = active[i - 1];
+      std::vector<uint64_t> bits((n_text + 63) / 64, 0);
       in_partition.clear();
       auto close_partition = [&] {
         for (const int32_t d : in_partition) {
@@ -163,9 +88,9 @@ struct ListingIndex::Impl {
           ++stamp;
         }
         const int64_t q = sa[j];
-        if (remaining[q] < i) continue;
-        const double v = RawValue(i, j);
-        if (v == kNegInf) continue;
+        if (core.remaining[q] < i) continue;
+        const double v = core.Value(i, j);
+        if (v == ReportingCore::kNegInf) continue;
         const int32_t d = doc_of[q];
         if (seen[d] != stamp) {
           seen[d] = stamp;
@@ -178,36 +103,8 @@ struct ListingIndex::Impl {
         }
       }
       close_partition();
+      core.active[i - 1] = VecOrView<uint64_t>(std::move(bits));
     }
-
-    for (int32_t i = 1; i <= K; ++i) {
-      short_rmq.push_back(
-          MakeRmq(options.rmq_engine, ActiveFn{this, i}, n_text));
-    }
-    for (int64_t d = K; d <= max_remaining; d *= 2) {
-      LongLevel level;
-      level.depth = static_cast<int32_t>(d);
-      level.rmq = MakeRmq(RmqEngineKind::kBlock, RawFn{this, level.depth},
-                          n_text, static_cast<size_t>(d));
-      long_levels.push_back(std::move(level));
-    }
-    return Status::OK();
-  }
-
-  Status CheckQuery(const std::string& pattern, double tau) const {
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
-    const LogProb lt = LogProb::FromLinear(tau);
-    const LogProb lmin = LogProb::FromLinear(tau_min);
-    if (!lt.MeetsThreshold(lmin)) {
-      return Status::InvalidArgument(
-          "tau is below the construction-time tau_min");
-    }
-    return Status::OK();
   }
 
   // Rel_max listing. Short patterns walk the deduplicated RMQ (one active
@@ -216,62 +113,26 @@ struct ListingIndex::Impl {
   Status QueryMax(const std::string& pattern, double tau,
                   std::vector<DocMatch>* out) const {
     out->clear();
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau));
+    LogProb log_tau;
+    PTI_RETURN_IF_ERROR(CheckQueryArgs(
+        pattern, tau, LogProb::FromLinear(tau_min), &log_tau));
     const auto range = st.FindRange(Text::MapPattern(pattern));
     if (!range.has_value() || range->empty()) return Status::OK();
     const int32_t m = static_cast<int32_t>(pattern.size());
     const int32_t l = range->begin;
     const int32_t r = range->end - 1;
-    const LogProb log_tau = LogProb::FromLinear(tau);
     std::unordered_map<int32_t, double> best;  // doc -> max prob
-    if (m <= K && static_cast<size_t>(r - l + 1) > options.scan_cutoff) {
-      const RmqHandle* rmq = short_rmq[m - 1].get();
-      std::vector<std::pair<int32_t, int32_t>> stack{{l, r}};
-      while (!stack.empty()) {
-        auto [lo, hi] = stack.back();
-        stack.pop_back();
-        if (lo > hi) continue;
-        const size_t pos = rmq->ArgMax(lo, hi);
-        const double v = ActiveFn{this, m}(pos);
-        if (!LogProb::FromLog(v).MeetsThreshold(log_tau)) continue;
-        const int32_t d = doc_of[st.sa()[pos]];
-        auto [it, inserted] = best.emplace(d, std::exp(v));
-        if (!inserted) it->second = std::max(it->second, std::exp(v));
-        stack.emplace_back(lo, static_cast<int32_t>(pos) - 1);
-        stack.emplace_back(static_cast<int32_t>(pos) + 1, hi);
-      }
-    } else if (m <= K || static_cast<size_t>(r - l + 1) <=
-                             options.scan_cutoff) {
-      ScanCollect(m, l, r, log_tau, &best);
+    const auto keep = [&](size_t j, double v) {
+      const int32_t d = doc_of[st.sa()[j]];
+      auto [it, inserted] = best.emplace(d, std::exp(v));
+      if (!inserted) it->second = std::max(it->second, std::exp(v));
+    };
+    if (static_cast<size_t>(r - l + 1) <= options.scan_cutoff) {
+      core.Scan(m, l, r, log_tau, keep);
+    } else if (m <= core.K) {
+      core.ExtractShort(m, l, r, log_tau, keep);
     } else {
-      const LongLevel* level = nullptr;
-      for (const auto& cand : long_levels) {
-        if (cand.depth <= m &&
-            (level == nullptr || cand.depth > level->depth)) {
-          level = &cand;
-        }
-      }
-      if (level == nullptr) {
-        ScanCollect(m, l, r, log_tau, &best);
-      } else {
-        std::vector<std::pair<int32_t, int32_t>> stack{{l, r}};
-        while (!stack.empty()) {
-          auto [lo, hi] = stack.back();
-          stack.pop_back();
-          if (lo > hi) continue;
-          const size_t pos = level->rmq->ArgMax(lo, hi);
-          const double ub = RawValue(level->depth, pos);
-          if (!LogProb::FromLog(ub).MeetsThreshold(log_tau)) continue;
-          const double v = RawValue(m, pos);
-          if (LogProb::FromLog(v).MeetsThreshold(log_tau)) {
-            const int32_t d = doc_of[st.sa()[pos]];
-            auto [it, inserted] = best.emplace(d, std::exp(v));
-            if (!inserted) it->second = std::max(it->second, std::exp(v));
-          }
-          stack.emplace_back(lo, static_cast<int32_t>(pos) - 1);
-          stack.emplace_back(static_cast<int32_t>(pos) + 1, hi);
-        }
-      }
+      core.ExtractBlocked(m, l, r, log_tau, keep);
     }
     out->reserve(best.size());
     // pti-lint: allow(unordered-iteration-in-serde): keys are unique docs
@@ -284,44 +145,32 @@ struct ListingIndex::Impl {
     return Status::OK();
   }
 
-  void ScanCollect(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-                   std::unordered_map<int32_t, double>* best) const {
-    for (int32_t j = l; j <= r; ++j) {
-      const double v = RawValue(m, j);
-      if (!LogProb::FromLog(v).MeetsThreshold(log_tau)) continue;
-      const int32_t d = doc_of[st.sa()[j]];
-      auto [it, inserted] = best->emplace(d, std::exp(v));
-      if (!inserted) it->second = std::max(it->second, std::exp(v));
-    }
-  }
-
   // OR metrics: visit every distinct occurrence with probability >= tau_min
   // in the locus range, aggregate per document, threshold the aggregate.
   Status QueryAggregate(const std::string& pattern, double tau,
                         RelevanceMetric metric,
                         std::vector<DocMatch>* out) const {
     out->clear();
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau));
+    const LogProb log_floor = LogProb::FromLinear(tau_min);
+    PTI_RETURN_IF_ERROR(CheckQueryArgs(pattern, tau, log_floor));
     const auto range = st.FindRange(Text::MapPattern(pattern));
     if (!range.has_value() || range->empty()) return Status::OK();
     const int32_t m = static_cast<int32_t>(pattern.size());
-    const LogProb log_floor = LogProb::FromLinear(tau_min);
     struct Agg {
       double sum = 0, prod = 1, none = 1;
     };
     std::unordered_map<int32_t, Agg> agg;
     std::unordered_set<int64_t> seen;  // distinct (doc, position) keys
-    for (int32_t j = range->begin; j < range->end; ++j) {
-      const double v = RawValue(m, j);
-      if (!LogProb::FromLog(v).MeetsThreshold(log_floor)) continue;
-      const int64_t q = st.sa()[j];
-      if (!seen.insert(GlobalPos(q)).second) continue;
-      const double p = std::exp(v);
-      Agg& a = agg[doc_of[q]];
-      a.sum += p;
-      a.prod *= p;
-      a.none *= (1.0 - p);
-    }
+    core.Scan(m, range->begin, range->end - 1, log_floor,
+              [&](size_t j, double v) {
+                const int64_t q = st.sa()[j];
+                if (!seen.insert(GlobalPos(q)).second) return;
+                const double p = std::exp(v);
+                Agg& a = agg[doc_of[q]];
+                a.sum += p;
+                a.prod *= p;
+                a.none *= (1.0 - p);
+              });
     // pti-lint: allow(unordered-iteration-in-serde): per-doc aggregates are
     // independent and the matches are sorted by doc before returning.
     for (const auto& [d, a] : agg) {
@@ -377,7 +226,6 @@ StatusOr<ListingIndex> ListingIndex::Build(
       i.logp.push_back(0.0);
     }
   }
-  i.BuildRules();
   PTI_RETURN_IF_ERROR(i.Finish());
   return index;
 }
@@ -406,7 +254,7 @@ ListingIndex::Stats ListingIndex::stats() const {
   s.total_positions = impl_->doc_base.back();
   s.num_factors = static_cast<size_t>(impl_->text.num_members());
   s.transformed_length = impl_->text.size();
-  s.short_depth_limit = impl_->K;
+  s.short_depth_limit = impl_->core.K;
   return s;
 }
 
@@ -554,7 +402,6 @@ StatusOr<ListingIndex> ListingIndex::Load(std::string_view data) {
     }
   }
 
-  i.BuildRules();
   PTI_RETURN_IF_ERROR(i.Finish());
   return index;
 }
@@ -562,16 +409,12 @@ StatusOr<ListingIndex> ListingIndex::Load(std::string_view data) {
 size_t ListingIndex::MemoryUsage() const {
   const Impl& i = *impl_;
   size_t bytes = i.text.MemoryUsage() + i.st.MemoryUsage() +
+                 i.core.MemoryUsage() +
                  i.doc_of.capacity() * sizeof(int32_t) +
                  i.pos_in_doc.capacity() * sizeof(int64_t) +
                  i.logp.capacity() * sizeof(double) +
-                 i.c.capacity() * sizeof(double) +
-                 i.remaining.capacity() * sizeof(int32_t) +
                  i.corr_positions.capacity() * sizeof(int64_t);
   for (const auto& d : i.docs) bytes += d.MemoryUsage();
-  for (const auto& bits : i.active) bytes += bits.capacity() * sizeof(uint64_t);
-  for (const auto& r : i.short_rmq) bytes += r->MemoryUsage();
-  for (const auto& level : i.long_levels) bytes += level.rmq->MemoryUsage();
   return bytes;
 }
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
+#include "core/reporting_core.h"
 #include "core/serde.h"
 #include "suffix/suffix_tree.h"
 #include "suffix/text.h"
@@ -12,168 +12,64 @@
 
 namespace pti {
 
-namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-int64_t RuleKey(int64_t pos, uint8_t ch) { return pos * 256 + ch; }
-}  // namespace
-
 struct SpecialIndex::Impl {
   UncertainString source;
   SpecialIndexOptions options;
   Text text;  // single member: the character sequence + one sentinel
-  SuffixTree st;
-  std::vector<double> c;          // prefix sums of per-position log probs
-  std::vector<int32_t> remaining; // chars to end of string (0 on sentinel)
+  std::vector<double> logp;             // log of the stored probabilities
   std::vector<int64_t> corr_positions;  // sorted positions carrying rules
-  std::unordered_map<int64_t, const CorrelationRule*> rules;
-
-  int32_t K = 0;
-  std::vector<std::unique_ptr<RmqHandle>> short_rmq;
-  struct LongLevel {
-    int32_t depth = 0;
-    std::unique_ptr<RmqHandle> rmq;
-  };
-  std::vector<LongLevel> long_levels;
-
-  size_t N() const { return text.size(); }
-
-  // Exact log-probability of the depth-length window of SA entry j
-  // (correlation-resolved; §4.1 "Handling Correlation").
-  double RawValue(int32_t depth, size_t j) const {
-    const int64_t q = st.sa()[j];
-    if (remaining[q] < depth) return kNegInf;
-    double v = c[q + depth] - c[q];
-    if (!corr_positions.empty()) {
-      auto it =
-          std::lower_bound(corr_positions.begin(), corr_positions.end(), q);
-      for (; it != corr_positions.end() && *it < q + depth; ++it) {
-        const int64_t z = *it;
-        const uint8_t ch = static_cast<uint8_t>(text.chars()[z]);
-        const CorrelationRule* rule = rules.at(RuleKey(z, ch));
-        double p;
-        if (rule->dep_pos >= q && rule->dep_pos < q + depth) {
-          const bool present =
-              text.chars()[rule->dep_pos] == rule->dep_ch;
-          p = present ? rule->prob_if_present : rule->prob_if_absent;
-        } else {
-          const double dep = source.BaseProb(rule->dep_pos, rule->dep_ch);
-          p = dep * rule->prob_if_present +
-              (1.0 - dep) * rule->prob_if_absent;
-        }
-        v += (p <= 0.0 ? kNegInf : std::log(p)) - StoredLog(z);
-      }
-    }
-    return v;
-  }
-
-  double StoredLog(int64_t z) const { return c[z + 1] - c[z]; }
-
-  struct RawFn {
-    const Impl* impl;
-    int32_t depth;
-    double operator()(size_t j) const { return impl->RawValue(depth, j); }
-  };
+  SuffixTree st;
+  // Window model and RMQ forest over text.
+  ReportingCore core;
 
   Status Finish() {
     st = SuffixTree::Build(text.chars(), text.alphabet_size());
-    const size_t n_text = N();
-    remaining.assign(n_text, 0);
-    for (int64_t q = static_cast<int64_t>(n_text) - 1; q >= 0; --q) {
-      remaining[q] = text.IsSentinel(q) ? 0 : remaining[q + 1] + 1;
-    }
-    if (options.max_short_depth > 0) {
-      K = options.max_short_depth;
-    } else {
-      K = 1;
-      while ((size_t{1} << K) < std::max<size_t>(n_text, 2)) ++K;
-    }
-    const int32_t n_real = static_cast<int32_t>(source.size());
-    K = std::max(1, std::min(K, std::max(n_real, 1)));
-
+    core.sa = st.sa();
+    core.BuildWindowModel(text, logp);
+    PTI_RETURN_IF_ERROR(core.ResolveCorrelations(
+        corr_positions, logp,
+        [this](int64_t z) { return RuleSite{&source, z}; }));
+    core.ComputeK(options.max_short_depth);
     if (options.use_rmq) {
-      for (int32_t i = 1; i <= K; ++i) {
-        short_rmq.push_back(
-            MakeRmq(options.rmq_engine, RawFn{this, i}, n_text));
-      }
-      if (options.build_long_levels) {
-        for (int64_t d = K; d <= n_real; d *= 2) {
-          LongLevel level;
-          level.depth = static_cast<int32_t>(d);
-          level.rmq = MakeRmq(RmqEngineKind::kBlock, RawFn{this, level.depth},
-                              n_text, static_cast<size_t>(d));
-          long_levels.push_back(std::move(level));
+      // Text positions are original positions, so every entry is the only
+      // one of its position: active at each depth its window fits.
+      const size_t n_text = text.size();
+      std::vector<std::vector<uint64_t>> bits(
+          core.K, std::vector<uint64_t>((n_text + 63) / 64, 0));
+      for (size_t j = 0; j < n_text; ++j) {
+        const int32_t fits = std::min(core.remaining[st.sa()[j]], core.K);
+        for (int32_t d = 0; d < fits; ++d) {
+          bits[d][j >> 6] |= uint64_t{1} << (j & 63);
         }
       }
+      core.active.clear();
+      for (auto& depth : bits) core.active.emplace_back(std::move(depth));
+      core.BuildForest(options.rmq_engine, core.Pow2Depths(), nullptr);
     }
     return Status::OK();
-  }
-
-  void RecursiveRmq(const RmqHandle* rmq, int32_t exact_depth,
-                    int32_t filter_depth, int32_t l, int32_t r,
-                    LogProb log_tau, std::vector<Match>* out) const {
-    std::vector<std::pair<int32_t, int32_t>> stack{{l, r}};
-    while (!stack.empty()) {
-      auto [lo, hi] = stack.back();
-      stack.pop_back();
-      if (lo > hi) continue;
-      const size_t pos = rmq->ArgMax(lo, hi);
-      const double filter_v = RawValue(filter_depth, pos);
-      if (!LogProb::FromLog(filter_v).MeetsThreshold(log_tau)) continue;
-      const double v = filter_depth == exact_depth
-                           ? filter_v
-                           : RawValue(exact_depth, pos);
-      if (LogProb::FromLog(v).MeetsThreshold(log_tau)) {
-        out->push_back(Match{st.sa()[pos], std::exp(v)});
-      }
-      stack.emplace_back(lo, static_cast<int32_t>(pos) - 1);
-      stack.emplace_back(static_cast<int32_t>(pos) + 1, hi);
-    }
-  }
-
-  void ScanQuery(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-                 std::vector<Match>* out) const {
-    for (int32_t j = l; j <= r; ++j) {
-      const double v = RawValue(m, j);
-      if (LogProb::FromLog(v).MeetsThreshold(log_tau)) {
-        out->push_back(Match{st.sa()[j], std::exp(v)});
-      }
-    }
   }
 
   Status Query(const std::string& pattern, double tau,
                std::vector<Match>* out) const {
     out->clear();
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
+    LogProb log_tau;
+    PTI_RETURN_IF_ERROR(
+        CheckQueryArgs(pattern, tau, LogProb::Zero(), &log_tau));
     const auto range = st.FindRange(Text::MapPattern(pattern));
     if (!range.has_value() || range->empty()) return Status::OK();
     const int32_t m = static_cast<int32_t>(pattern.size());
     const int32_t l = range->begin;
     const int32_t r = range->end - 1;
-    const LogProb log_tau = LogProb::FromLinear(tau);
+    const auto keep = [&](size_t j, double v) {
+      out->push_back(Match{st.sa()[j], std::exp(v)});
+    };
     if (!options.use_rmq ||
         static_cast<size_t>(r - l + 1) <= options.scan_cutoff) {
-      ScanQuery(m, l, r, log_tau, out);
-    } else if (m <= K) {
-      RecursiveRmq(short_rmq[m - 1].get(), m, m, l, r, log_tau, out);
+      core.Scan(m, l, r, log_tau, keep);
+    } else if (m <= core.K) {
+      core.ExtractShort(m, l, r, log_tau, keep);
     } else {
-      const LongLevel* level = nullptr;
-      for (const auto& cand : long_levels) {
-        if (cand.depth <= m &&
-            (level == nullptr || cand.depth > level->depth)) {
-          level = &cand;
-        }
-      }
-      if (level == nullptr) {
-        ScanQuery(m, l, r, log_tau, out);
-      } else {
-        RecursiveRmq(level->rmq.get(), m, level->depth, l, r, log_tau, out);
-      }
+      core.ExtractBlocked(m, l, r, log_tau, keep);
     }
     std::sort(out->begin(), out->end(), [](const Match& a, const Match& b) {
       return a.position < b.position;
@@ -211,7 +107,7 @@ StatusOr<SpecialIndex> SpecialIndex::Build(const UncertainString& s,
 
   std::vector<int32_t> chars;
   chars.reserve(s.size());
-  i.c.assign(static_cast<size_t>(s.size()) + 2, 0.0);
+  i.logp.reserve(static_cast<size_t>(s.size()) + 1);
   for (int64_t p = 0; p < s.size(); ++p) {
     const CharOption& opt = s.options(p)[0];
     double stored = opt.prob;
@@ -224,14 +120,10 @@ StatusOr<SpecialIndex> SpecialIndex::Build(const UncertainString& s,
           "special uncertain string requires positive probabilities");
     }
     chars.push_back(opt.ch);
-    i.c[p + 1] = i.c[p] + std::log(stored);
+    i.logp.push_back(std::log(stored));
   }
-  i.c[s.size() + 1] = i.c[s.size()];  // sentinel contributes nothing
+  i.logp.push_back(0.0);  // the sentinel contributes nothing
   i.text.AppendMember(chars);
-  // Rules point at the retained copy of the source (stable inside the Impl).
-  for (const CorrelationRule& r : i.source.correlations()) {
-    i.rules[RuleKey(r.pos, r.ch)] = &r;
-  }
   PTI_RETURN_IF_ERROR(i.Finish());
   return index;
 }
@@ -244,7 +136,7 @@ Status SpecialIndex::Query(const std::string& pattern, double tau,
 SpecialIndex::Stats SpecialIndex::stats() const {
   Stats s;
   s.length = impl_->source.size();
-  s.short_depth_limit = impl_->K;
+  s.short_depth_limit = impl_->core.K;
   s.num_tree_nodes = static_cast<size_t>(impl_->st.num_nodes());
   return s;
 }
@@ -264,7 +156,7 @@ Status SpecialIndex::Save(std::string* out, uint32_t version) const {
   opts.PutU32(static_cast<uint32_t>(i.options.max_short_depth));
   opts.PutU8(static_cast<uint8_t>(i.options.rmq_engine));
   opts.PutU8(i.options.use_rmq ? 1 : 0);
-  opts.PutU8(i.options.build_long_levels ? 1 : 0);
+  opts.PutU8(1);  // long levels: always built (see Load)
   opts.PutU64(i.options.scan_cutoff);
   serde::EncodeUncertainString(i.source, &cw.AddSection(serde::kTagSource));
   *out = std::move(cw).Finish();
@@ -295,8 +187,10 @@ StatusOr<SpecialIndex> SpecialIndex::Load(std::string_view data) {
   if (use_rmq > 1 || long_levels > 1) {
     return Status::Corruption("bad boolean option flag");
   }
+  // The fourth byte once made long-pattern block levels optional; they only
+  // change how a query runs, never its answer, so Load always builds them
+  // and a 0 from an older writer loads like a 1.
   options.use_rmq = use_rmq != 0;
-  options.build_long_levels = long_levels != 0;
   uint64_t cutoff = 0;
   PTI_RETURN_IF_ERROR(opts.GetU64(&cutoff));
   options.scan_cutoff = cutoff;
@@ -322,13 +216,9 @@ StatusOr<SpecialIndex> SpecialIndex::Load(std::string_view data) {
 
 size_t SpecialIndex::MemoryUsage() const {
   const Impl& i = *impl_;
-  size_t bytes = i.source.MemoryUsage() + i.text.MemoryUsage() +
-                 i.st.MemoryUsage() + i.c.capacity() * sizeof(double) +
-                 i.remaining.capacity() * sizeof(int32_t) +
-                 i.corr_positions.capacity() * sizeof(int64_t);
-  for (const auto& r : i.short_rmq) bytes += r->MemoryUsage();
-  for (const auto& level : i.long_levels) bytes += level.rmq->MemoryUsage();
-  return bytes;
+  return i.source.MemoryUsage() + i.text.MemoryUsage() + i.st.MemoryUsage() +
+         i.core.MemoryUsage() + i.logp.capacity() * sizeof(double) +
+         i.corr_positions.capacity() * sizeof(int64_t);
 }
 
 }  // namespace pti

@@ -36,10 +36,9 @@ struct SpecialIndexOptions {
   /// Depth limit K for the per-depth RMQ forest; 0 means ceil(log2(n)).
   int32_t max_short_depth = 0;
   RmqEngineKind rmq_engine = RmqEngineKind::kBlock;
-  /// false reproduces the §4.1 simple index (always scan the range).
+  /// false reproduces the §4.1 simple index (always scan the range); true
+  /// also builds block levels at K, 2K, 4K, ... for long patterns.
   bool use_rmq = true;
-  /// Levels at K, 2K, 4K, ... for long patterns (as in SubstringIndex).
-  bool build_long_levels = true;
   /// Locus ranges no larger than this are scanned directly.
   size_t scan_cutoff = 64;
 };

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/reporting_core.h"
 #include "core/serde.h"
 #include "succinct/fm_index.h"
 #include "suffix/lcp.h"
@@ -24,14 +25,6 @@
 namespace pti {
 
 namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// How many suffix-array entries ahead the fused sweeps prefetch the
-// randomly addressed per-text-position arrays (c, remaining, pos).
-constexpr size_t kSweepPrefetch = 16;
-
-int64_t RuleKey(int64_t pos, uint8_t ch) { return pos * 256 + ch; }
-
 // Accumulates wall-clock milliseconds into *slot between construction and
 // Stop()/destruction; a null slot makes every operation free. Stages that
 // run concurrently (the FM overlap) each time their own slot, so the sum of
@@ -205,340 +198,25 @@ struct SubstringIndex::Impl {
   // were consumed, so Load decoded no full payload of TEXT/MAPS/SARR.
   bool derived_from_sections = false;
 
-  // Prefix sums of fs.logp: c[k] = sum of logp[0..k); sentinels add 0.
-  VecOrView<double> c;
-  // Real characters from a text position to its factor's end (0 on
-  // sentinels); a depth-i window starting at q is in-factor iff
-  // remaining[q] >= i.
-  VecOrView<int32_t> remaining;
-  std::unordered_map<int64_t, const CorrelationRule*> rules;
-
-  int32_t K = 0;               // short-depth limit
-  int32_t max_remaining = 0;   // longest in-factor window anywhere
-  // active[i-1] bit j: SA entry j is the depth-i representative of its
-  // (partition, original position) class (§5.2 duplicate elimination).
-  std::vector<VecOrView<uint64_t>> active;
-  std::vector<std::unique_ptr<RmqHandle>> short_rmq;  // depth 1..K
-
-  struct LongLevel {
-    int32_t depth = 0;
-    std::unique_ptr<RmqHandle> rmq;
-  };
-  std::vector<LongLevel> long_levels;  // kPow2: depths K, 2K, 4K, ...
+  // Window model, active bitsets and RMQ forest over fs.text and sa_view.
+  ReportingCore core;
 
   mutable std::mutex lazy_mu;
   mutable std::map<int32_t, std::unique_ptr<RmqHandle>> lazy_exact;
 
   size_t N() const { return fs.text.size(); }
 
-  bool ActiveBit(int32_t depth, size_t j) const {
-    return (active[depth - 1][j >> 6] >> (j & 63)) & 1;
-  }
-
-  // Exact log-probability of the depth-length window of suffix-array entry j
-  // (correlation-resolved), or -inf when the window leaves its factor.
-  double RawValue(int32_t depth, size_t j) const {
-    const int64_t q = sa_view[j];
-    if (remaining[q] < depth) return kNegInf;
-    double v = c[q + depth] - c[q];
-    if (!fs.corr_positions.empty()) {
-      auto it = std::lower_bound(fs.corr_positions.begin(),
-                                 fs.corr_positions.end(), q);
-      for (; it != fs.corr_positions.end() && *it < q + depth; ++it) {
-        v += Adjustment(*it, q, depth);
-      }
-    }
-    return v;
-  }
-
-  // log(resolved) - log(stored) for the correlated character at text
-  // position z, within the window [q, q+depth).
-  double Adjustment(int64_t z, int64_t q, int32_t depth) const {
-    const uint8_t ch = static_cast<uint8_t>(fs.text.chars()[z]);
-    const int64_t s_pos = fs.pos[z];
-    const CorrelationRule* rule = rules.at(RuleKey(s_pos, ch));
-    const int64_t ws = fs.pos[q];  // window start in S
-    double p;
-    if (rule->dep_pos >= ws && rule->dep_pos < ws + depth) {
-      // Case 1: dependency inside the window — the factor's own character
-      // at that position decides it.
-      const int64_t zdep = q + (rule->dep_pos - ws);
-      const bool present = fs.text.chars()[zdep] == rule->dep_ch;
-      p = present ? rule->prob_if_present : rule->prob_if_absent;
-    } else {
-      // Case 2: outside the window — marginalize.
-      const double dep = source.BaseProb(rule->dep_pos, rule->dep_ch);
-      p = dep * rule->prob_if_present + (1.0 - dep) * rule->prob_if_absent;
-    }
-    const double resolved = p <= 0.0 ? kNegInf : std::log(p);
-    return resolved - fs.logp[z];
-  }
-
-  struct RawFn {
-    const Impl* impl;
-    int32_t depth;
-    double operator()(size_t j) const { return impl->RawValue(depth, j); }
-  };
-  struct ActiveFn {
-    const Impl* impl;
-    int32_t depth;
-    double operator()(size_t j) const {
-      return impl->ActiveBit(depth, j) ? impl->RawValue(depth, j) : kNegInf;
-    }
-  };
-
-  // Shared by every load/build path: the correlation-rule lookup table and
-  // the K formula (both cheap, always rederived).
-  void BuildRules() {
-    rules.clear();
-    for (const CorrelationRule& r : source.correlations()) {
-      rules[RuleKey(r.pos, r.ch)] = &r;
-    }
-  }
-
-  int32_t ComputeK(size_t n_text) const {
-    int32_t k;
-    if (options.max_short_depth > 0) {
-      k = options.max_short_depth;
-    } else {
-      k = 1;
-      while ((size_t{1} << k) < std::max<size_t>(n_text, 2)) ++k;
-    }
-    return std::max(1, std::min<int32_t>(k, std::max(max_remaining, 1)));
-  }
-
   // The kPow2 level depths are a pure function of K and max_remaining; the
   // loader recomputes them to cross-check a persisted RMQ forest.
   std::vector<int32_t> LongLevelDepths() const {
-    std::vector<int32_t> depths;
-    if (options.blocking == BlockingMode::kPow2) {
-      for (int64_t d = K; d <= max_remaining; d *= 2) {
-        depths.push_back(static_cast<int32_t>(d));
-      }
-    }
-    return depths;
+    return options.blocking == BlockingMode::kPow2 ? core.Pow2Depths()
+                                                   : std::vector<int32_t>();
   }
 
-  // Window log-probability of depth `depth` at text position q with
-  // RawValue's exact arithmetic: the c[] difference first, then the
-  // Adjustments in corr_positions order, starting at `corr` (the first
-  // correlated position >= q; unused when nothing is correlated).
-  double SweepValue(int64_t q, double cq, int32_t depth,
-                    const int64_t* corr) const {
-    double v = c.data()[q + depth] - cq;
-    if (!fs.corr_positions.empty()) {
-      for (const int64_t* it = corr;
-           it != fs.corr_positions.end() && *it < q + depth; ++it) {
-        v += Adjustment(*it, q, depth);
-      }
-    }
-    return v;
-  }
-
-  // Fills the block maxima of the short depths 1 .. nshort (block 64,
-  // masked by the active bit) and of the long levels of `long_depths`
-  // (block = depth) over the suffix-array entries [j_lo, j_hi), in one pass:
-  // each entry loads SA[j], remaining[q] and c[q] once and evaluates each
-  // level's value at most once. A level whose window leaves the factor (or
-  // whose active bit is clear) is -inf, which only matters as its block's
-  // first candidate. j_lo must start a block of every level, and j_hi end
-  // one (or be N), so disjoint ranges fill disjoint blocks; the maxima equal
-  // BlockRmq::ScanBlocks over ActiveFn/RawFn level by level.
-  void SweepForest(size_t j_lo, size_t j_hi, size_t nshort,
-                   const std::vector<int32_t>& long_depths,
-                   std::vector<BlockMaxima>* short_out,
-                   std::vector<BlockMaxima>* long_out) const {
-    const size_t n_text = N();
-    const size_t nlong = long_depths.size();
-    std::vector<const uint64_t*> short_bits(nshort);
-    for (size_t t = 0; t < nshort; ++t) short_bits[t] = active[t].data();
-    std::vector<RmqCandidate> short_best(nshort);
-    std::vector<RmqCandidate> long_best(nlong);
-    std::vector<size_t> long_off(nlong, 0);
-    const int32_t* sa = sa_view.data();
-    const int32_t* rem_of = remaining.data();
-    const double* cp = c.data();
-    const bool correlated = !fs.corr_positions.empty();
-    for (size_t j = j_lo; j < j_hi; ++j) {
-      if (j + kSweepPrefetch < j_hi) {
-        const int32_t ahead = sa[j + kSweepPrefetch];
-        __builtin_prefetch(rem_of + ahead);
-        __builtin_prefetch(cp + ahead);
-      }
-      const int64_t q = sa[j];
-      const int32_t rem = rem_of[q];
-      const double cq = cp[q];
-      const int64_t* corr =
-          correlated ? std::lower_bound(fs.corr_positions.begin(),
-                                        fs.corr_positions.end(), q)
-                     : nullptr;
-      const bool last = j + 1 == n_text;
-
-      const bool start = (j & 63) == 0;
-      if (start) {
-        for (size_t t = 0; t < nshort; ++t) short_best[t] = {j, kNegInf};
-      }
-      const size_t live =
-          std::min(static_cast<size_t>(std::max(rem, 0)), nshort);
-      const uint64_t bit = uint64_t{1} << (j & 63);
-      for (size_t t = 0; t < live; ++t) {
-        if ((short_bits[t][j >> 6] & bit) == 0) continue;
-        const double v = SweepValue(q, cq, static_cast<int32_t>(t) + 1, corr);
-        if (start || v > short_best[t].value) short_best[t] = {j, v};
-      }
-      if ((j & 63) == 63 || last) {
-        for (size_t t = 0; t < nshort; ++t) {
-          (*short_out)[t].arg[j >> 6] =
-              static_cast<uint32_t>(short_best[t].pos);
-          (*short_out)[t].value[j >> 6] = short_best[t].value;
-        }
-      }
-
-      for (size_t t = 0; t < nlong; ++t) {
-        const int32_t depth = long_depths[t];
-        const bool first = long_off[t] == 0;
-        if (first) long_best[t] = {j, kNegInf};
-        if (rem >= depth) {
-          const double v = SweepValue(q, cq, depth, corr);
-          if (first || v > long_best[t].value) long_best[t] = {j, v};
-        }
-        if (++long_off[t] == static_cast<size_t>(depth) || last) {
-          const size_t b = j / static_cast<size_t>(depth);
-          (*long_out)[t].arg[b] = static_cast<uint32_t>(long_best[t].pos);
-          (*long_out)[t].value[b] = long_best[t].value;
-          long_off[t] = 0;
-        }
-      }
-    }
-  }
-
-  // Builds the §5 RMQ forest. Every block-engine level — the K short depths
-  // (block 64, active-masked) unless another engine was asked for, and the
-  // kPow2 long levels (block = depth) — takes its block maxima from one
-  // fused sweep over the suffix array. A multi-thread pool cuts the sweep
-  // into contiguous suffix-array chunks whose bounds start a block of every
-  // level, so each chunk fills its own blocks of all levels and every
-  // thread count yields the same tables. Short depths of a non-block engine
-  // are built one MakeRmq per depth.
-  void BuildRmqForest(size_t n_text, ThreadPool* pool = nullptr) {
-    short_rmq.clear();
-    short_rmq.resize(K);
-    const std::vector<int32_t> depths = LongLevelDepths();
-    const size_t nshort =
-        options.rmq_engine == RmqEngineKind::kBlock ? static_cast<size_t>(K)
-                                                     : 0;
-    const auto sized = [n_text](size_t block) {
-      BlockMaxima m;
-      m.arg.resize((n_text + block - 1) / block);
-      m.value.resize(m.arg.size());
-      return m;
-    };
-    std::vector<BlockMaxima> short_maxima(nshort, sized(64));
-    std::vector<BlockMaxima> long_maxima;
-    size_t align = 64;  // a multiple of every level's block size
-    for (const int32_t d : depths) {
-      long_maxima.push_back(sized(static_cast<size_t>(d)));
-      align = std::lcm(align, static_cast<size_t>(d));
-    }
-    const size_t units = (n_text + align - 1) / align;
-    const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-    const size_t chunks = std::max<size_t>(1, std::min(units, threads));
-    const auto sweep = [&](size_t g) {
-      const size_t lo = std::min(n_text, g * units / chunks * align);
-      const size_t hi = std::min(n_text, (g + 1) * units / chunks * align);
-      SweepForest(lo, hi, nshort, depths, &short_maxima, &long_maxima);
-    };
-    if (chunks > 1) {
-      pool->ParallelFor(chunks, sweep);
-    } else {
-      sweep(0);
-    }
-    for (size_t t = 0; t < nshort; ++t) {
-      const int32_t i = static_cast<int32_t>(t) + 1;
-      short_rmq[t] = MakeBlockRmq(ActiveFn{this, i}, n_text, 64,
-                                  std::move(short_maxima[t]));
-    }
-    long_levels.clear();
-    for (size_t t = 0; t < depths.size(); ++t) {
-      LongLevel level;
-      level.depth = depths[t];
-      level.rmq = MakeBlockRmq(RawFn{this, level.depth}, n_text,
-                               static_cast<size_t>(level.depth),
-                               std::move(long_maxima[t]));
-      long_levels.push_back(std::move(level));
-    }
-    if (nshort == 0) {
-      const auto build = [&](size_t t) {
-        const int32_t i = static_cast<int32_t>(t) + 1;
-        short_rmq[t] = MakeRmq(options.rmq_engine, ActiveFn{this, i}, n_text);
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(static_cast<size_t>(K), build);
-      } else {
-        for (size_t t = 0; t < static_cast<size_t>(K); ++t) build(t);
-      }
-    }
-  }
-
-  // §5.2 duplicate elimination for depths lo+1 .. hi in one pass over the
-  // suffix array: within every depth-i locus partition keep one
-  // representative per original position. Each depth keeps its own
-  // partition stamp, advanced at every j where lcp[j] < i opens a new
-  // depth-i partition — all depths from lcp[j] + 1 up at once. `seen`
-  // holds one row of per-depth stamps per original position, so an entry
-  // touches a single row however many depths its window covers. A stamp
-  // only has to be unique per partition within its own depth, so any split
-  // of the depths into groups yields the same bits.
-  void BuildActiveBits(size_t lo, size_t hi,
-                       const std::vector<int32_t>& lcp) {
-    const size_t n_text = N();
-    const size_t width = hi - lo;
-    if (width == 0) return;
-    const int64_t first_depth = static_cast<int64_t>(lo) + 1;
-    std::vector<std::vector<uint64_t>> bits(
-        width, std::vector<uint64_t>((n_text + 63) / 64, 0));
-    std::vector<int32_t> stamp(width, 0);
-    std::vector<int32_t> seen(
-        static_cast<size_t>(std::max<int64_t>(fs.original_length, 1)) * width,
-        -1);
-    const int32_t* sa = sa_view.data();
-    const int32_t* rem_of = remaining.data();
-    const int64_t* pos_of = fs.pos.data();
-    for (size_t j = 0; j < n_text; ++j) {
-      // The seen row is addressed through pos[q], so pos runs two prefetch
-      // distances ahead and the row one.
-      if (j + 2 * kSweepPrefetch < n_text) {
-        const int32_t ahead = sa[j + 2 * kSweepPrefetch];
-        __builtin_prefetch(rem_of + ahead);
-        __builtin_prefetch(pos_of + ahead);
-      }
-      if (j + kSweepPrefetch < n_text) {
-        const int64_t ahead_pos = pos_of[sa[j + kSweepPrefetch]];
-        if (ahead_pos >= 0) {
-          __builtin_prefetch(&seen[static_cast<size_t>(ahead_pos) * width]);
-        }
-      }
-      // Depth first_depth + k opens a partition iff lcp[j] < first_depth + k.
-      const int64_t opened =
-          j == 0 ? 0 : std::max<int64_t>(lcp[j] - first_depth + 1, 0);
-      for (size_t k = static_cast<size_t>(opened); k < width; ++k) ++stamp[k];
-      const int64_t q = sa[j];
-      const int64_t live = std::min<int64_t>(
-          static_cast<int64_t>(rem_of[q]) - first_depth + 1,
-          static_cast<int64_t>(width));
-      if (live <= 0) continue;
-      int32_t* row = &seen[static_cast<size_t>(pos_of[q]) * width];
-      const uint64_t bit = uint64_t{1} << (j & 63);
-      for (size_t k = 0; k < static_cast<size_t>(live); ++k) {
-        if (row[k] != stamp[k]) {
-          row[k] = stamp[k];
-          bits[k][j >> 6] |= bit;
-        }
-      }
-    }
-    for (size_t k = 0; k < width; ++k) {
-      active[lo + k] = VecOrView<uint64_t>(std::move(bits[k]));
-    }
+  Status ResolveCorrelations() {
+    return core.ResolveCorrelations(
+        fs.corr_positions.span(), fs.logp.span(),
+        [this](int64_t z) { return RuleSite{&source, fs.pos[z]}; });
   }
 
   // Builds everything derived from (source, options, fs). In compact mode
@@ -561,7 +239,6 @@ struct SubstringIndex::Impl {
                          std::nullopt,
                      ThreadPool* pool = nullptr,
                      BuildTimings* timings = nullptr) {
-    const size_t n_text = N();
     const std::vector<int32_t>* lcp = nullptr;
     std::vector<int32_t> lcp_storage;
     std::thread fm_thread;  // joined before the RMQ forest below
@@ -601,46 +278,19 @@ struct SubstringIndex::Impl {
       lcp = &st.lcp();
     }
 
-    BuildRules();
-
+    core.sa = sa_view;
     {
       StageTimer t(TimingSlot(timings, &BuildTimings::derived_ms));
-      std::vector<double> c_build(n_text + 1, 0.0);
-      for (size_t k = 0; k < n_text; ++k) {
-        c_build[k + 1] = c_build[k] + fs.logp[k];
-      }
-      c = VecOrView<double>(std::move(c_build));
-      std::vector<int32_t> rem_build(n_text, 0);
-      max_remaining = 0;
-      for (int64_t q = static_cast<int64_t>(n_text) - 1; q >= 0; --q) {
-        rem_build[q] = fs.text.IsSentinel(q) ? 0 : rem_build[q + 1] + 1;
-        max_remaining = std::max(max_remaining, rem_build[q]);
-      }
-      remaining = VecOrView<int32_t>(std::move(rem_build));
-
-      K = ComputeK(n_text);
-
-      // One sweep per contiguous, near-equal depth group, one group per
-      // pool thread. A depth's bits depend on the depth alone, never on its
-      // group, so every thread count yields the same bytes.
-      active.assign(K, VecOrView<uint64_t>());
-      const size_t depths = static_cast<size_t>(K);
-      const size_t groups =
-          pool == nullptr ? 1 : std::min(depths, pool->num_threads());
-      const auto sweep = [&](size_t g) {
-        BuildActiveBits(g * depths / groups, (g + 1) * depths / groups, *lcp);
-      };
-      if (groups > 1) {
-        pool->ParallelFor(groups, sweep);
-      } else {
-        sweep(0);
-      }
+      core.BuildWindowModel(fs.text, fs.logp.span());
+      PTI_RETURN_IF_ERROR(ResolveCorrelations());
+      core.ComputeK(options.max_short_depth);
+      core.BuildDistinctActive(*lcp, fs.pos.span(), fs.original_length, pool);
     }
 
     if (fm_thread.joinable()) fm_thread.join();
     {
       StageTimer t(TimingSlot(timings, &BuildTimings::rmq_ms));
-      BuildRmqForest(n_text, pool);
+      core.BuildForest(options.rmq_engine, LongLevelDepths(), pool);
     }
     return Status::OK();
   }
@@ -658,7 +308,7 @@ struct SubstringIndex::Impl {
     const size_t n_text = N();
     sa_view = sa_storage.span();
     st = SuffixTree();
-    BuildRules();
+    core.sa = sa_view;
 
     Reader derv;
     PTI_RETURN_IF_ERROR(container.Section(serde::kTagDerived, &derv));
@@ -673,7 +323,7 @@ struct SubstringIndex::Impl {
     if (c_span[0] != 0.0) {
       return Status::Corruption("prefix-sum array does not start at zero");
     }
-    // remaining[] bounds every c[q + depth] access (RawValue dereferences
+    // remaining[] bounds every c[q + depth] access (WindowValue reads
     // c[q + depth] only when depth <= remaining[q]), so it must satisfy its
     // defining recurrence exactly — not merely stay in range.
     for (size_t q = 0; q < n_text; ++q) {
@@ -684,13 +334,11 @@ struct SubstringIndex::Impl {
         return Status::Corruption("remaining-run array inconsistent with text");
       }
     }
-    c = VecOrView<double>::View(c_span);
-    remaining = VecOrView<int32_t>::View(rem_span);
-    max_remaining = 0;
-    for (size_t q = 0; q < n_text; ++q) {
-      max_remaining = std::max(max_remaining, rem_span[q]);
-    }
-    K = ComputeK(n_text);
+    core.AdoptWindowModel(fs.text, VecOrView<double>::View(c_span),
+                          VecOrView<int32_t>::View(rem_span));
+    PTI_RETURN_IF_ERROR(ResolveCorrelations());
+    core.ComputeK(options.max_short_depth);
+    const int32_t K = core.K;
 
     Reader actv;
     PTI_RETURN_IF_ERROR(container.Section(serde::kTagActive, &actv));
@@ -699,14 +347,14 @@ struct SubstringIndex::Impl {
     if (depth_count != static_cast<uint32_t>(K)) {
       return Status::Corruption("active bitset depth count mismatch");
     }
-    active.assign(K, VecOrView<uint64_t>());
+    core.active.assign(K, VecOrView<uint64_t>());
     for (int32_t i = 0; i < K; ++i) {
       Span<const uint64_t> bits;
       PTI_RETURN_IF_ERROR(actv.GetSpan(&bits));
       if (bits.size() != (n_text + 63) / 64) {
         return Status::Corruption("active bitset word count mismatch");
       }
-      active[i] = VecOrView<uint64_t>::View(bits);
+      core.active[i] = VecOrView<uint64_t>::View(bits);
     }
     PTI_RETURN_IF_ERROR(serde::ExpectSectionEnd(actv, "active"));
 
@@ -719,46 +367,15 @@ struct SubstringIndex::Impl {
       return Status::Corruption("FM-index size mismatches text");
     }
 
-    const std::vector<int32_t> expected_depths = LongLevelDepths();
     if (options.rmq_engine == RmqEngineKind::kBlock &&
         container.Has(serde::kTagRmqBlocks)) {
       Reader rmqb;
       PTI_RETURN_IF_ERROR(container.Section(serde::kTagRmqBlocks, &rmqb));
-      uint32_t nshort = 0;
-      PTI_RETURN_IF_ERROR(rmqb.GetU32(&nshort));
-      if (nshort != static_cast<uint32_t>(K)) {
-        return Status::Corruption("RMQ forest depth count mismatch");
-      }
-      short_rmq.clear();
-      short_rmq.reserve(K);
-      for (int32_t i = 1; i <= K; ++i) {
-        std::unique_ptr<RmqHandle> handle;
-        PTI_RETURN_IF_ERROR(
-            LoadBlockRmq(&rmqb, ActiveFn{this, i}, n_text, &handle));
-        short_rmq.push_back(std::move(handle));
-      }
-      uint32_t nlong = 0;
-      PTI_RETURN_IF_ERROR(rmqb.GetU32(&nlong));
-      if (nlong != expected_depths.size()) {
-        return Status::Corruption("RMQ long-level count mismatch");
-      }
-      long_levels.clear();
-      for (uint32_t l = 0; l < nlong; ++l) {
-        uint32_t depth = 0;
-        PTI_RETURN_IF_ERROR(rmqb.GetU32(&depth));
-        if (depth != static_cast<uint32_t>(expected_depths[l])) {
-          return Status::Corruption("RMQ long-level depth mismatch");
-        }
-        LongLevel level;
-        level.depth = expected_depths[l];
-        PTI_RETURN_IF_ERROR(LoadBlockRmq(&rmqb, RawFn{this, level.depth},
-                                         n_text, &level.rmq));
-        long_levels.push_back(std::move(level));
-      }
+      PTI_RETURN_IF_ERROR(core.LoadForest(&rmqb, LongLevelDepths()));
       PTI_RETURN_IF_ERROR(serde::ExpectSectionEnd(rmqb, "RMQ forest"));
     } else {
       // Non-block engines are not persisted; rebuild from the loaded views.
-      BuildRmqForest(n_text);
+      core.BuildForest(options.rmq_engine, LongLevelDepths(), nullptr);
     }
     derived_from_sections = true;
     return Status::OK();
@@ -770,7 +387,8 @@ struct SubstringIndex::Impl {
     auto it = lazy_exact.find(m);
     if (it == lazy_exact.end()) {
       it = lazy_exact
-               .emplace(m, MakeRmq(RmqEngineKind::kBlock, RawFn{this, m}, N(),
+               .emplace(m, MakeRmq(RmqEngineKind::kBlock,
+                                   ReportingCore::RawFn{&core, m}, N(),
                                    static_cast<size_t>(m)))
                .first;
     }
@@ -789,21 +407,7 @@ struct SubstringIndex::Impl {
     return std::make_pair(range->begin, range->end);
   }
 
-  Status CheckQuery(const std::string& pattern, double tau) const {
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
-    const LogProb lt = LogProb::FromLinear(tau);
-    const LogProb lmin = LogProb::FromLinear(fs.tau_min);
-    if (!lt.MeetsThreshold(lmin)) {
-      return Status::InvalidArgument(
-          "tau is below the construction-time tau_min");
-    }
-    return Status::OK();
-  }
+  LogProb TauMin() const { return LogProb::FromLinear(fs.tau_min); }
 
   // A reported occurrence before linear-space conversion: original position
   // plus the exact log-probability the threshold test ran against. QueryBatch
@@ -811,7 +415,7 @@ struct SubstringIndex::Impl {
   // the exact predicate Query uses.
   struct RawMatch {
     int64_t spos = 0;
-    double logv = kNegInf;
+    double logv = ReportingCore::kNegInf;
   };
 
   // Keeps the best window value per original position. Different factors can
@@ -824,130 +428,120 @@ struct SubstringIndex::Impl {
     if (!inserted && v > it->second) it->second = v;
   }
 
-  // Algorithm 4: recursive RMQ extraction over an active (deduplicated)
-  // depth-m structure. Emits exact matches; the locus range is one depth-m
-  // partition, so positions are already unique.
-  void ShortQuery(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-                  std::vector<RawMatch>* out) const {
-    const RmqHandle* rmq = short_rmq[m - 1].get();
-    std::vector<std::pair<int32_t, int32_t>> stack{{l, r}};
-    while (!stack.empty()) {
-      auto [lo, hi] = stack.back();
-      stack.pop_back();
-      if (lo > hi) continue;
-      const size_t pos = rmq->ArgMax(lo, hi);
-      const double v = ActiveFn{this, m}(pos);
-      if (!LogProb::FromLog(v).MeetsThreshold(log_tau)) continue;
-      out->push_back(RawMatch{fs.pos[sa_view[pos]], v});
-      stack.emplace_back(lo, static_cast<int32_t>(pos) - 1);
-      stack.emplace_back(static_cast<int32_t>(pos) + 1, hi);
-    }
-  }
-
-  // Scan fallback: validate every entry of the range at exact depth m,
-  // deduplicating positions (used for tiny ranges and kScanOnly).
-  void ScanQuery(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-                 std::unordered_map<int64_t, double>* best) const {
-    for (int32_t j = l; j <= r; ++j) {
-      const double v = RawValue(m, j);
-      if (!LogProb::FromLog(v).MeetsThreshold(log_tau)) continue;
-      EmitDedup(best, fs.pos[sa_view[j]], v);
-    }
-  }
-
-  // kPow2 long-pattern recursion: an upper-bound level filters ranges; every
-  // candidate is validated at exact depth m.
-  void Pow2Query(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-                 std::unordered_map<int64_t, double>* best) const {
-    const LongLevel* level = nullptr;
-    for (const auto& cand : long_levels) {
-      if (cand.depth <= m && (level == nullptr || cand.depth > level->depth)) {
-        level = &cand;
-      }
-    }
-    if (level == nullptr) {
-      ScanQuery(m, l, r, log_tau, best);
-      return;
-    }
-    std::vector<std::pair<int32_t, int32_t>> stack{{l, r}};
-    while (!stack.empty()) {
-      auto [lo, hi] = stack.back();
-      stack.pop_back();
-      if (lo > hi) continue;
-      const size_t pos = level->rmq->ArgMax(lo, hi);
-      // Upper bound: a shorter window's probability dominates the longer
-      // window's. Below tau here means nothing in [lo, hi] can match.
-      const double ub = RawValue(level->depth, pos);
-      if (!LogProb::FromLog(ub).MeetsThreshold(log_tau)) continue;
-      const double v = RawValue(m, pos);
-      if (LogProb::FromLog(v).MeetsThreshold(log_tau)) {
-        EmitDedup(best, fs.pos[sa_view[pos]], v);
-      }
-      stack.emplace_back(lo, static_cast<int32_t>(pos) - 1);
-      stack.emplace_back(static_cast<int32_t>(pos) + 1, hi);
-    }
-  }
-
-  // kPaperExact long-pattern recursion over the lazily built exact-depth
-  // structure; identical shape to Algorithm 4 plus position dedup.
-  void PaperExactQuery(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-                       std::unordered_map<int64_t, double>* best) const {
-    const RmqHandle* rmq = ExactLevel(m);
-    std::vector<std::pair<int32_t, int32_t>> stack{{l, r}};
-    while (!stack.empty()) {
-      auto [lo, hi] = stack.back();
-      stack.pop_back();
-      if (lo > hi) continue;
-      const size_t pos = rmq->ArgMax(lo, hi);
-      const double v = RawValue(m, pos);
-      if (!LogProb::FromLog(v).MeetsThreshold(log_tau)) continue;
-      EmitDedup(best, fs.pos[sa_view[pos]], v);
-      stack.emplace_back(lo, static_cast<int32_t>(pos) - 1);
-      stack.emplace_back(static_cast<int32_t>(pos) + 1, hi);
-    }
-  }
-
-  // Dispatches the locus range [l, r] to the right extraction path for
-  // pattern length m; emits raw matches, position-sorted.
-  void Extract(int32_t m, int32_t l, int32_t r, LogProb log_tau,
-               std::vector<RawMatch>* out) const {
-    if (m <= K) {
-      ShortQuery(m, l, r, log_tau, out);
-    } else {
-      std::unordered_map<int64_t, double> best;
-      if (options.blocking == BlockingMode::kScanOnly ||
-          static_cast<size_t>(r - l + 1) <= options.scan_cutoff) {
-        ScanQuery(m, l, r, log_tau, &best);
-      } else if (options.blocking == BlockingMode::kPaperExact) {
-        PaperExactQuery(m, l, r, log_tau, &best);
-      } else {
-        Pow2Query(m, l, r, log_tau, &best);
-      }
-      out->reserve(out->size() + best.size());
-      // pti-lint: allow(unordered-iteration-in-serde): spos keys are unique
-      // and the sort below imposes a total order, so emit order cancels out.
-      for (const auto& [spos, v] : best) out->push_back(RawMatch{spos, v});
-    }
+  static void SortBySpos(std::vector<RawMatch>* out) {
     std::sort(out->begin(), out->end(),
               [](const RawMatch& a, const RawMatch& b) {
                 return a.spos < b.spos;
               });
   }
 
-  Status Query(const std::string& pattern, double tau,
-               std::vector<Match>* out) const {
-    out->clear();
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau));
-    const auto range = LocusRange(pattern);
-    if (!range.has_value()) return Status::OK();
-    std::vector<RawMatch> raw;
-    Extract(static_cast<int32_t>(pattern.size()), range->first,
-            range->second - 1, LogProb::FromLinear(tau), &raw);
+  // Appends the values kept in `best`, then sorts *out by position.
+  static void FlushDedup(const std::unordered_map<int64_t, double>& best,
+                         std::vector<RawMatch>* out) {
+    out->reserve(out->size() + best.size());
+    // pti-lint: allow(unordered-iteration-in-serde): spos keys are unique
+    // and the sort below imposes a total order, so emit order cancels out.
+    for (const auto& [spos, v] : best) out->push_back(RawMatch{spos, v});
+    SortBySpos(out);
+  }
+
+  // Extracts the locus range [l, r] for pattern length m: Algorithm 4 over
+  // the active short level (each position reported once), else the
+  // long-pattern strategy with per-position dedup. Emits raw matches,
+  // position-sorted.
+  void Extract(int32_t m, int32_t l, int32_t r, LogProb log_tau,
+               std::vector<RawMatch>* out) const {
+    if (m <= core.K) {
+      core.ExtractShort(m, l, r, log_tau, [&](size_t j, double v) {
+        out->push_back(RawMatch{fs.pos[sa_view[j]], v});
+      });
+      SortBySpos(out);
+    } else {
+      std::unordered_map<int64_t, double> best;
+      const auto keep = [&](size_t j, double v) {
+        EmitDedup(&best, fs.pos[sa_view[j]], v);
+      };
+      if (options.blocking == BlockingMode::kScanOnly ||
+          static_cast<size_t>(r - l + 1) <= options.scan_cutoff) {
+        core.Scan(m, l, r, log_tau, keep);
+      } else if (options.blocking == BlockingMode::kPaperExact) {
+        core.Extract(*ExactLevel(m), /*masked=*/false, m, m, l, r, log_tau,
+                     keep);
+      } else {
+        core.ExtractBlocked(m, l, r, log_tau, keep);
+      }
+      FlushDedup(best, out);
+    }
+  }
+
+  static void ToMatches(const std::vector<RawMatch>& raw,
+                        std::vector<Match>* out) {
     out->reserve(raw.size());
     for (const RawMatch& rm : raw) {
       out->push_back(Match{rm.spos, std::exp(rm.logv)});
     }
+  }
+
+  Status Query(const std::string& pattern, double tau,
+               std::vector<Match>* out) const {
+    out->clear();
+    LogProb log_tau;
+    PTI_RETURN_IF_ERROR(CheckQueryArgs(pattern, tau, TauMin(), &log_tau));
+    const auto range = LocusRange(pattern);
+    if (!range.has_value()) return Status::OK();
+    std::vector<RawMatch> raw;
+    Extract(static_cast<int32_t>(pattern.size()), range->first,
+            range->second - 1, log_tau, &raw);
+    ToMatches(raw, out);
     return Status::OK();
+  }
+
+  // Validates a whole batch up front (plus `extra` per query), computing
+  // each query's log-space threshold exactly once.
+  template <typename BatchQ, typename Extra>
+  Status CheckBatch(const std::vector<BatchQ>& queries, Extra extra,
+                    std::vector<LogProb>* log_taus) const {
+    const LogProb lmin = TauMin();
+    log_taus->resize(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      Status st = CheckQueryArgs(queries[i].pattern, queries[i].tau, lmin,
+                                 &(*log_taus)[i]);
+      if (st.ok()) st = extra(queries[i]);
+      if (!st.ok()) return BatchQueryError(i, st);
+    }
+    return Status::OK();
+  }
+
+  // Answers a batch in `order`, where equal queries (by `same`) sit next to
+  // each other smallest tau first: `extract(i, &raw)` runs once per group,
+  // for its first member i at that member's threshold, and every member
+  // keeps the raw matches clearing its own. MeetsThreshold is monotone in
+  // tau, so the first member's extraction is a superset of each member's
+  // result set.
+  template <typename Same, typename ExtractFn>
+  static void AnswerGroups(const std::vector<size_t>& order,
+                           const std::vector<LogProb>& log_taus, Same same,
+                           ExtractFn extract,
+                           std::vector<std::vector<Match>>* out) {
+    std::vector<RawMatch> raw;
+    size_t g = 0;
+    while (g < order.size()) {
+      size_t h = g + 1;
+      while (h < order.size() && same(order[g], order[h])) ++h;
+      raw.clear();
+      extract(order[g], &raw);
+      for (size_t j = g; j < h; ++j) {
+        const LogProb log_tau = log_taus[order[j]];
+        auto& dst = (*out)[order[j]];
+        dst.reserve(raw.size());
+        for (const RawMatch& rm : raw) {
+          if (LogProb::FromLog(rm.logv).MeetsThreshold(log_tau)) {
+            dst.push_back(Match{rm.spos, std::exp(rm.logv)});
+          }
+        }
+      }
+      g = h;
+    }
   }
 
   Status QueryBatch(const std::vector<BatchQuery>& queries,
@@ -956,27 +550,9 @@ struct SubstringIndex::Impl {
     // output across batches then pays no per-query allocations.
     out->resize(queries.size());
     for (auto& dst : *out) dst.clear();
-    // Validate everything up front, computing each query's log-space
-    // threshold exactly once (Query pays the log() conversions per call;
-    // the batch reuses them for extraction and filtering below).
-    const LogProb lmin = LogProb::FromLinear(fs.tau_min);
     std::vector<LogProb> log_taus;
-    log_taus.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto fail = [&i](const char* what) {
-        return Status::InvalidArgument("batch query #" + std::to_string(i) +
-                                       ": " + what);
-      };
-      const BatchQuery& q = queries[i];
-      if (q.pattern.empty()) return fail("pattern must be non-empty");
-      if (!(q.tau > 0.0) || q.tau > 1.0) {
-        return fail("tau must be in (0, 1]");
-      }
-      log_taus.push_back(LogProb::FromLinear(q.tau));
-      if (!log_taus.back().MeetsThreshold(lmin)) {
-        return fail("tau is below the construction-time tau_min");
-      }
-    }
+    PTI_RETURN_IF_ERROR(CheckBatch(
+        queries, [](const BatchQuery&) { return Status::OK(); }, &log_taus));
     // Pattern-sorted processing: equal patterns collapse into one group
     // (smallest tau first), and neighbouring patterns share the resumable
     // part of the locus search — prefixes in tree mode (the descent resumes
@@ -1003,38 +579,22 @@ struct SubstringIndex::Impl {
     } else {
       tree_walker.emplace(&st);
     }
-    std::vector<RawMatch> raw;
-    size_t g = 0;
-    while (g < order.size()) {
-      size_t h = g + 1;
-      while (h < order.size() &&
-             queries[order[h]].pattern == queries[order[g]].pattern) {
-        ++h;
-      }
-      const std::string& pattern = queries[order[g]].pattern;
-      const auto mapped = Text::MapPattern(pattern);
-      const auto range = compact_mode ? fm_walker->Find(mapped)
-                                      : tree_walker->Find(mapped);
-      if (range.has_value()) {
-        // One extraction at the group's smallest tau is a superset of every
-        // member's result set (MeetsThreshold is monotone in tau), so each
-        // member just re-filters with its own threshold.
-        raw.clear();
-        Extract(static_cast<int32_t>(pattern.size()), range->first,
-                range->second - 1, log_taus[order[g]], &raw);
-        for (size_t j = g; j < h; ++j) {
-          const LogProb log_tau = log_taus[order[j]];
-          auto& dst = (*out)[order[j]];
-          dst.reserve(raw.size());
-          for (const RawMatch& rm : raw) {
-            if (LogProb::FromLog(rm.logv).MeetsThreshold(log_tau)) {
-              dst.push_back(Match{rm.spos, std::exp(rm.logv)});
-            }
+    AnswerGroups(
+        order, log_taus,
+        [&queries](size_t a, size_t b) {
+          return queries[a].pattern == queries[b].pattern;
+        },
+        [&](size_t i, std::vector<RawMatch>* raw) {
+          const std::string& pattern = queries[i].pattern;
+          const auto mapped = Text::MapPattern(pattern);
+          const auto range = compact_mode ? fm_walker->Find(mapped)
+                                          : tree_walker->Find(mapped);
+          if (range.has_value()) {
+            Extract(static_cast<int32_t>(pattern.size()), range->first,
+                    range->second - 1, log_taus[i], raw);
           }
-        }
-      }
-      g = h;
-    }
+        },
+        out);
     return Status::OK();
   }
 
@@ -1120,14 +680,7 @@ struct SubstringIndex::Impl {
         Extract(fr.length, fr.begin, fr.end - 1, log_tau, &raw);
         for (const RawMatch& rm : raw) EmitDedup(&best, rm.spos, rm.logv);
       }
-      out->reserve(best.size());
-      // pti-lint: allow(unordered-iteration-in-serde): spos keys are unique
-      // and the sort below imposes a total order, so emit order cancels out.
-      for (const auto& [spos, v] : best) out->push_back(RawMatch{spos, v});
-      std::sort(out->begin(), out->end(),
-                [](const RawMatch& a, const RawMatch& b) {
-                  return a.spos < b.spos;
-                });
+      FlushDedup(best, out);
     } else {
       std::set<int64_t> cand;
       FuzzyCandidatesTree(pattern, params, log_tau, &cand);
@@ -1141,16 +694,14 @@ struct SubstringIndex::Impl {
   Status QueryFuzzy(const std::string& pattern, double tau,
                     const FuzzyParams& params, std::vector<Match>* out) const {
     out->clear();
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau));
+    LogProb log_tau;
+    PTI_RETURN_IF_ERROR(CheckQueryArgs(pattern, tau, TauMin(), &log_tau));
     PTI_RETURN_IF_ERROR(CheckFuzzyParams(params));
     // k = 0 is the exact query; delegating keeps it bit-identical.
     if (params.k == 0) return Query(pattern, tau, out);
     std::vector<RawMatch> raw;
-    FuzzyExtract(pattern, params, LogProb::FromLinear(tau), &raw);
-    out->reserve(raw.size());
-    for (const RawMatch& rm : raw) {
-      out->push_back(Match{rm.spos, std::exp(rm.logv)});
-    }
+    FuzzyExtract(pattern, params, log_tau, &raw);
+    ToMatches(raw, out);
     return Status::OK();
   }
 
@@ -1158,35 +709,18 @@ struct SubstringIndex::Impl {
                          std::vector<std::vector<Match>>* out) const {
     out->resize(queries.size());
     for (auto& dst : *out) dst.clear();
-    const LogProb lmin = LogProb::FromLinear(fs.tau_min);
     std::vector<LogProb> log_taus;
-    log_taus.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto fail = [&i](const char* what) {
-        return Status::InvalidArgument("batch query #" + std::to_string(i) +
-                                       ": " + what);
-      };
-      const FuzzyBatchQuery& q = queries[i];
-      if (q.pattern.empty()) return fail("pattern must be non-empty");
-      if (!(q.tau > 0.0) || q.tau > 1.0) {
-        return fail("tau must be in (0, 1]");
-      }
-      log_taus.push_back(LogProb::FromLinear(q.tau));
-      if (!log_taus.back().MeetsThreshold(lmin)) {
-        return fail("tau is below the construction-time tau_min");
-      }
-      const Status fp = CheckFuzzyParams(q.params);
-      if (!fp.ok()) {
-        const std::string msg =
-            "batch query #" + std::to_string(i) + ": " + fp.message();
-        return fp.code() == Status::Code::kNotSupported
-                   ? Status::NotSupported(msg)
-                   : Status::InvalidArgument(msg);
-      }
-    }
-    // Group by (pattern, metric, k): one enumeration at the group's
-    // smallest tau is a superset of every member's result set, so members
-    // re-filter with their own thresholds — the fuzzy mirror of QueryBatch.
+    PTI_RETURN_IF_ERROR(CheckBatch(
+        queries,
+        [](const FuzzyBatchQuery& q) { return CheckFuzzyParams(q.params); },
+        &log_taus));
+    // Group by (pattern, metric, k): the fuzzy mirror of QueryBatch.
+    const auto same_key = [&queries](size_t a, size_t b) {
+      const FuzzyBatchQuery& qa = queries[a];
+      const FuzzyBatchQuery& qb = queries[b];
+      return qa.pattern == qb.pattern && qa.params.metric == qb.params.metric &&
+             qa.params.k == qb.params.k;
+    };
     std::vector<size_t> order(queries.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(), [&queries](size_t a, size_t b) {
@@ -1199,52 +733,35 @@ struct SubstringIndex::Impl {
       if (qa.params.k != qb.params.k) return qa.params.k < qb.params.k;
       return qa.tau < qb.tau;
     });
-    std::vector<RawMatch> raw;
-    size_t g = 0;
-    while (g < order.size()) {
-      const FuzzyBatchQuery& lead = queries[order[g]];
-      size_t h = g + 1;
-      while (h < order.size() &&
-             queries[order[h]].pattern == lead.pattern &&
-             queries[order[h]].params.metric == lead.params.metric &&
-             queries[order[h]].params.k == lead.params.k) {
-        ++h;
-      }
-      if (lead.params.k == 0) {
-        // Exact members stay on the exact path for bit-identity with Query.
-        for (size_t j = g; j < h; ++j) {
-          PTI_RETURN_IF_ERROR(Query(lead.pattern, queries[order[j]].tau,
-                                    &(*out)[order[j]]));
-        }
-      } else {
-        raw.clear();
-        FuzzyExtract(lead.pattern, lead.params, log_taus[order[g]], &raw);
-        for (size_t j = g; j < h; ++j) {
-          const LogProb log_tau = log_taus[order[j]];
-          auto& dst = (*out)[order[j]];
-          dst.reserve(raw.size());
-          for (const RawMatch& rm : raw) {
-            if (LogProb::FromLog(rm.logv).MeetsThreshold(log_tau)) {
-              dst.push_back(Match{rm.spos, std::exp(rm.logv)});
-            }
+    AnswerGroups(
+        order, log_taus, same_key,
+        [&](size_t i, std::vector<RawMatch>* raw) {
+          const FuzzyBatchQuery& lead = queries[i];
+          if (lead.params.k > 0) {
+            FuzzyExtract(lead.pattern, lead.params, log_taus[i], raw);
+            return;
           }
-        }
-      }
-      g = h;
-    }
+          // k = 0 stays on the exact path, bit-identical with Query.
+          const auto range = LocusRange(lead.pattern);
+          if (range.has_value()) {
+            Extract(static_cast<int32_t>(lead.pattern.size()), range->first,
+                    range->second - 1, log_taus[i], raw);
+          }
+        },
+        out);
     return Status::OK();
   }
 
   Status QueryTopK(const std::string& pattern, double tau, size_t k,
                    std::vector<Match>* out) const {
     out->clear();
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau));
+    LogProb log_tau;
+    PTI_RETURN_IF_ERROR(CheckQueryArgs(pattern, tau, TauMin(), &log_tau));
     if (k == 0) return Status::OK();
     const auto range = LocusRange(pattern);
     if (!range.has_value()) return Status::OK();
     const int32_t m = static_cast<int32_t>(pattern.size());
-    const LogProb log_tau = LogProb::FromLinear(tau);
-    if (m <= K) {
+    if (m <= core.K) {
       // Heap of (value, argmax, subrange): repeatedly take the global best
       // and split its range — O((m + k) log k)-ish, independent of occ.
       struct Entry {
@@ -1252,12 +769,12 @@ struct SubstringIndex::Impl {
         int32_t pos, l, r;
         bool operator<(const Entry& o) const { return v < o.v; }
       };
-      const RmqHandle* rmq = short_rmq[m - 1].get();
+      const RmqHandle* rmq = core.short_rmq[m - 1].get();
       std::priority_queue<Entry> heap;
       auto push = [&](int32_t lo, int32_t hi) {
         if (lo > hi) return;
         const size_t pos = rmq->ArgMax(lo, hi);
-        const double v = ActiveFn{this, m}(pos);
+        const double v = core.ActiveValue(m, pos);
         if (LogProb::FromLog(v).MeetsThreshold(log_tau)) {
           heap.push(Entry{v, static_cast<int32_t>(pos), lo, hi});
         }
@@ -1352,7 +869,7 @@ SubstringIndex::Stats SubstringIndex::stats() const {
   s.original_length = impl_->fs.original_length;
   s.num_factors = impl_->fs.num_factors();
   s.transformed_length = impl_->fs.total_length();
-  s.short_depth_limit = impl_->K;
+  s.short_depth_limit = impl_->core.K;
   s.num_tree_nodes = static_cast<size_t>(impl_->st.num_nodes());
   return s;
 }
@@ -1360,12 +877,9 @@ SubstringIndex::Stats SubstringIndex::stats() const {
 size_t SubstringIndex::MemoryUsage() const {
   const Impl& i = *impl_;
   size_t bytes = i.source.MemoryUsage() + i.fs.MemoryUsage() +
-                 i.st.MemoryUsage() + i.c.OwnedBytes() +
-                 i.remaining.OwnedBytes() + i.sa_storage.OwnedBytes();
+                 i.st.MemoryUsage() + i.core.MemoryUsage() +
+                 i.sa_storage.OwnedBytes();
   if (i.fm) bytes += i.fm->MemoryUsage();
-  for (const auto& bits : i.active) bytes += bits.OwnedBytes();
-  for (const auto& r : i.short_rmq) bytes += r->MemoryUsage();
-  for (const auto& level : i.long_levels) bytes += level.rmq->MemoryUsage();
   {
     std::lock_guard<std::mutex> lock(i.lazy_mu);
     for (const auto& [depth, r] : i.lazy_exact) {
@@ -1421,24 +935,17 @@ Status SubstringIndex::Save(std::string* out, uint32_t version) const {
     // aligned so Load is validation plus pointer fix-up — no SA-IS, no
     // Kasai, no FM or RMQ construction, no payload copies.
     Writer& derv = cw.AddSection(serde::kTagDerived);
-    derv.PutSpan(i.c.span());
-    derv.PutSpan(i.remaining.span());
+    derv.PutSpan(i.core.c.span());
+    derv.PutSpan(i.core.remaining.span());
     Writer& actv = cw.AddSection(serde::kTagActive);
-    actv.PutU32(static_cast<uint32_t>(i.K));
-    for (const auto& bits : i.active) actv.PutSpan(bits.span());
+    actv.PutU32(static_cast<uint32_t>(i.core.K));
+    for (const auto& bits : i.core.active) actv.PutSpan(bits.span());
     Writer& fmix = cw.AddSection(serde::kTagFmIndex);
     i.fm->SaveTo(&fmix);
     if (i.options.rmq_engine == RmqEngineKind::kBlock) {
       // Only the block engine round-trips (the Fischer-Heun and sparse-
       // table engines rebuild cheaply relative to their size on disk).
-      Writer& rmqb = cw.AddSection(serde::kTagRmqBlocks);
-      rmqb.PutU32(static_cast<uint32_t>(i.K));
-      for (const auto& handle : i.short_rmq) handle->SaveTo(&rmqb);
-      rmqb.PutU32(static_cast<uint32_t>(i.long_levels.size()));
-      for (const auto& level : i.long_levels) {
-        rmqb.PutU32(static_cast<uint32_t>(level.depth));
-        level.rmq->SaveTo(&rmqb);
-      }
+      i.core.SaveForest(&cw.AddSection(serde::kTagRmqBlocks));
     }
   }
   *out = std::move(cw).Finish();

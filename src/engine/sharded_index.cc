@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 
+#include "core/reporting_core.h"
 #include "core/serde.h"
 #include "util/log_prob.h"
 #include "util/serial.h"
@@ -83,17 +84,7 @@ Status MakeSlice(const UncertainString& s, int64_t begin, int64_t end,
   return Status::OK();
 }
 
-// Same status code, message prefixed with the failing query's index.
-Status PrefixBatchError(const Status& st, size_t i) {
-  const std::string msg =
-      "batch query #" + std::to_string(i) + ": " + st.message();
-  switch (st.code()) {
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(msg);
-    default:
-      return Status::InvalidArgument(msg);
-  }
-}
+constexpr FuzzyParams kExact{0, FuzzyMetric::kMismatch};
 
 }  // namespace
 
@@ -127,42 +118,6 @@ struct ShardedIndex::Impl {
                     owned_end(k) + static_cast<int64_t>(options.overlap));
   }
 
-  // Mirrors SubstringIndex's query validation (same messages, same LogProb
-  // comparison) and adds the shard-specific pattern-length rules. Sets
-  // *cannot_match when the pattern is longer than the string — a valid query
-  // with a necessarily empty answer, exactly as the monolithic index treats
-  // it.
-  Status CheckQuery(const std::string& pattern, double tau,
-                    bool* cannot_match) const {
-    *cannot_match = false;
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
-    const LogProb lt = LogProb::FromLinear(tau);
-    const LogProb lmin =
-        LogProb::FromLinear(options.index.transform.tau_min);
-    if (!lt.MeetsThreshold(lmin)) {
-      return Status::InvalidArgument(
-          "tau is below the construction-time tau_min");
-    }
-    const int64_t m = static_cast<int64_t>(pattern.size());
-    if (m > original_length) {
-      *cannot_match = true;
-      return Status::OK();
-    }
-    if (m > static_cast<int64_t>(options.overlap) + 1) {
-      return Status::NotSupported(
-          "pattern length " + std::to_string(m) +
-          " exceeds the shard overlap limit of " +
-          std::to_string(options.overlap + 1) +
-          "; rebuild the sharded index with a larger overlap");
-    }
-    return Status::OK();
-  }
-
   // Re-bases one shard's matches to global coordinates, dropping overlap-
   // tail matches (owned — and reported — by a later shard).
   void MergeShardMatches(int32_t k, const std::vector<Match>& local,
@@ -178,7 +133,7 @@ struct ShardedIndex::Impl {
                std::vector<Match>* out) const {
     out->clear();
     bool cannot_match = false;
-    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau, &cannot_match));
+    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau, kExact, &cannot_match));
     if (cannot_match) return Status::OK();
     std::vector<Match> local;
     for (int32_t k = 0; k < num_shards(); ++k) {
@@ -188,27 +143,20 @@ struct ShardedIndex::Impl {
     return Status::OK();
   }
 
-  // Fuzzy variant of CheckQuery. The slice layout guarantees windows of up
+  // SubstringIndex's query validation (CheckQueryArgs, CheckFuzzyParams)
+  // plus the shard-specific pattern-length rules; an exact query is a fuzzy
+  // one with k = 0. Sets *cannot_match when the pattern is longer than the
+  // string — a valid query with a necessarily empty answer, exactly as the
+  // monolithic index treats it. The slice layout guarantees windows of up
   // to overlap+1 characters starting at an owned position stay in-slice;
   // under kEdit an admissible variant window can be params.k longer than
   // the pattern (and max(1, m - k) shorter, which is what decides
   // cannot_match), so the supported pattern length shrinks by k.
-  Status CheckFuzzyQuery(const std::string& pattern, double tau,
-                         const FuzzyParams& params, bool* cannot_match) const {
+  Status CheckQuery(const std::string& pattern, double tau,
+                    const FuzzyParams& params, bool* cannot_match) const {
     *cannot_match = false;
-    if (pattern.empty()) {
-      return Status::InvalidArgument("pattern must be non-empty");
-    }
-    if (!(tau > 0.0) || tau > 1.0) {
-      return Status::InvalidArgument("tau must be in (0, 1]");
-    }
-    const LogProb lt = LogProb::FromLinear(tau);
-    const LogProb lmin =
-        LogProb::FromLinear(options.index.transform.tau_min);
-    if (!lt.MeetsThreshold(lmin)) {
-      return Status::InvalidArgument(
-          "tau is below the construction-time tau_min");
-    }
+    PTI_RETURN_IF_ERROR(CheckQueryArgs(
+        pattern, tau, LogProb::FromLinear(options.index.transform.tau_min)));
     PTI_RETURN_IF_ERROR(CheckFuzzyParams(params));
     const int64_t m = static_cast<int64_t>(pattern.size());
     const bool edit = params.metric == FuzzyMetric::kEdit && params.k > 0;
@@ -233,7 +181,7 @@ struct ShardedIndex::Impl {
                     const FuzzyParams& params, std::vector<Match>* out) const {
     out->clear();
     bool cannot_match = false;
-    PTI_RETURN_IF_ERROR(CheckFuzzyQuery(pattern, tau, params, &cannot_match));
+    PTI_RETURN_IF_ERROR(CheckQuery(pattern, tau, params, &cannot_match));
     if (cannot_match) return Status::OK();
     std::vector<Match> local;
     for (int32_t k = 0; k < num_shards(); ++k) {
@@ -249,9 +197,9 @@ struct ShardedIndex::Impl {
     out->resize(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       bool cannot_match = false;
-      const Status st = CheckFuzzyQuery(queries[i].pattern, queries[i].tau,
-                                        queries[i].params, &cannot_match);
-      if (!st.ok()) return PrefixBatchError(st, i);
+      const Status st = CheckQuery(queries[i].pattern, queries[i].tau,
+                                   queries[i].params, &cannot_match);
+      if (!st.ok()) return BatchQueryError(i, st);
     }
     const size_t n_shards = static_cast<size_t>(num_shards());
     std::vector<std::vector<std::vector<Match>>> per_shard(n_shards);
@@ -280,9 +228,9 @@ struct ShardedIndex::Impl {
     out->resize(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       bool cannot_match = false;
-      const Status st =
-          CheckQuery(queries[i].pattern, queries[i].tau, &cannot_match);
-      if (!st.ok()) return PrefixBatchError(st, i);
+      const Status st = CheckQuery(queries[i].pattern, queries[i].tau, kExact,
+                                   &cannot_match);
+      if (!st.ok()) return BatchQueryError(i, st);
     }
     const size_t n_shards = static_cast<size_t>(num_shards());
     std::vector<std::vector<std::vector<Match>>> per_shard(n_shards);

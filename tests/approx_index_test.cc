@@ -227,5 +227,36 @@ TEST(ApproxIndexTest, AgreesWithOracleWhenEpsilonTiny) {
   }
 }
 
+TEST(ApproxIndexTest, CorrelatedGuaranteesHold) {
+  test::PropertySweepSpec spec;
+  spec.lengths = {40, 100};
+  spec.correlation_counts = {0, 3};
+  spec.strings_per_config = 2;
+  test::RunPropertySweep(spec, [](const test::SweepConfig& config) {
+    const UncertainString& s = config.s;
+    for (const double eps : {0.05, 0.2}) {
+      ApproxOptions options;
+      options.transform.tau_min = 0.1;
+      options.epsilon = eps;
+      const auto index = ApproxIndex::Build(s, options);
+      ASSERT_TRUE(index.ok()) << config.label;
+      // One pattern per window of up to 8 characters (each character drawn
+      // from its position's options), so windows holding a rule with and
+      // without its dependency are all queried.
+      for (int64_t start = 0; start < s.size(); ++start) {
+        for (size_t len = 1; len <= 8; ++len) {
+          if (start + static_cast<int64_t>(len) > s.size()) break;
+          const std::string pattern = test::PatternFromString(
+              s, start, len, config.seed + static_cast<uint64_t>(start));
+          for (const double tau : {0.15, 0.3}) {
+            SCOPED_TRACE(config.label + " eps=" + std::to_string(eps));
+            CheckGuarantees(*index, s, pattern, tau, eps);
+          }
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace pti

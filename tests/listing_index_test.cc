@@ -230,6 +230,104 @@ TEST(ListingIndexTest, LongPatternListing) {
   }
 }
 
+// Three documents per sweep cell: the cell's string plus two siblings drawn
+// with the same knobs (and as many correlation rules), so correlated
+// documents share the generalized suffix structure.
+std::vector<UncertainString> SweepDocs(const test::SweepConfig& config) {
+  std::vector<UncertainString> docs = {config.s};
+  for (uint64_t k = 1; k <= 2; ++k) {
+    UncertainString d = test::RandomUncertain({.length = config.s.size(),
+                                               .alphabet = config.alphabet,
+                                               .theta = 0.5,
+                                               .seed = config.seed * 31 + k});
+    if (config.num_correlations > 0) {
+      test::AddRandomCorrelations(&d, config.num_correlations,
+                                  config.seed * 131 + k);
+    }
+    docs.push_back(std::move(d));
+  }
+  return docs;
+}
+
+// Patterns for a sweep cell: half sampled from a document (likely to occur),
+// half random, lengths 1..8 so both the short and the long path run.
+std::vector<std::string> SweepPatterns(const std::vector<UncertainString>& docs,
+                                       int32_t alphabet, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> patterns;
+  for (int q = 0; q < 24; ++q) {
+    const size_t len = 1 + rng.Uniform(8);
+    const UncertainString& d = docs[rng.Uniform(docs.size())];
+    if (q % 2 == 0 && d.size() >= static_cast<int64_t>(len)) {
+      const int64_t start =
+          static_cast<int64_t>(rng.Uniform(d.size() - len + 1));
+      patterns.push_back(test::PatternFromString(d, start, len, rng.Next()));
+    } else {
+      patterns.push_back(test::RandomPattern(alphabet, len, rng.Next()));
+    }
+  }
+  return patterns;
+}
+
+TEST(ListingIndexTest, CorrelatedRelMaxMatchesOracle) {
+  test::PropertySweepSpec spec;
+  spec.lengths = {30, 60};
+  spec.correlation_counts = {0, 3};
+  spec.strings_per_config = 2;
+  test::RunPropertySweep(spec, [](const test::SweepConfig& config) {
+    const std::vector<UncertainString> docs = SweepDocs(config);
+    ListingOptions short_path;
+    short_path.transform.tau_min = 0.1;
+    ListingOptions long_path = short_path;
+    long_path.max_short_depth = 2;
+    long_path.scan_cutoff = 0;
+    for (const ListingOptions& options : {short_path, long_path}) {
+      const auto index = ListingIndex::Build(docs, options);
+      ASSERT_TRUE(index.ok()) << config.label;
+      for (const std::string& pattern :
+           SweepPatterns(docs, config.alphabet, config.seed)) {
+        for (const double tau : {0.1, 0.3}) {
+          std::vector<DocMatch> got;
+          ASSERT_TRUE(index->Query(pattern, tau, &got).ok());
+          SCOPED_TRACE(config.label + " K=" +
+                       std::to_string(options.max_short_depth) + " '" +
+                       pattern + "' tau=" + std::to_string(tau));
+          ExpectSameDocs(got, BruteForceListing(docs, pattern, tau,
+                                                RelevanceMetric::kMax, tau));
+        }
+      }
+    }
+  });
+}
+
+TEST(ListingIndexTest, CorrelatedOrMetricsMatchOracle) {
+  test::PropertySweepSpec spec;
+  spec.lengths = {30, 60};
+  spec.correlation_counts = {0, 3};
+  spec.strings_per_config = 2;
+  test::RunPropertySweep(spec, [](const test::SweepConfig& config) {
+    const std::vector<UncertainString> docs = SweepDocs(config);
+    ListingOptions options;
+    options.transform.tau_min = 0.1;
+    const auto index = ListingIndex::Build(docs, options);
+    ASSERT_TRUE(index.ok()) << config.label;
+    for (const std::string& pattern :
+         SweepPatterns(docs, config.alphabet, config.seed)) {
+      for (const RelevanceMetric metric :
+           {RelevanceMetric::kPaperOr, RelevanceMetric::kNoisyOr}) {
+        for (const double tau : {0.15, 0.4}) {
+          std::vector<DocMatch> got;
+          ASSERT_TRUE(index->QueryWithMetric(pattern, tau, metric, &got).ok());
+          SCOPED_TRACE(config.label + " '" + pattern +
+                       "' tau=" + std::to_string(tau));
+          ExpectSameDocs(got,
+                         BruteForceListing(docs, pattern, tau, metric, 0.1));
+        }
+      }
+    }
+  });
+}
+
 TEST(ListingIndexTest, StatsCoherent) {
   const auto docs = Figure2Collection();
   ListingOptions options;

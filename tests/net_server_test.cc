@@ -230,7 +230,14 @@ TEST(NetServerTest, InlineHitsAndQueuedMissesKeepSendOrder) {
     EXPECT_EQ(frame.code, expected_status.code()) << "response #" << q;
     EXPECT_TRUE(frame.matches == expected) << "response #" << q;
   }
-  const auto stats = live.server.stats();
+  // The server counts a frame once its write returns, so the count can
+  // trail the client's read of the last frame by a moment.
+  auto stats = live.server.stats();
+  for (int wait_ms = 0; wait_ms < 2000 && stats.frames_sent < kPipelined + 1;
+       ++wait_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = live.server.stats();
+  }
   EXPECT_EQ(stats.frames_sent, kPipelined + 1);
   // At least the first hit skipped the writer; the misses cannot.
   EXPECT_GT(stats.responses_inline, 0u);

@@ -708,6 +708,45 @@ TEST(SerdeCorruptionTest, HostileListingMapsFail) {
   }
 }
 
+// SPCL's fourth options byte once selected whether the long-pattern block
+// levels were built. Long levels only change how a query runs, never what
+// it returns, so Load accepts the 0 that older writers could emit (and
+// always builds them); values above 1 stay corrupt.
+std::string SpecialBlobWithLongLevelByte(const UncertainString& s,
+                                         uint8_t long_levels) {
+  serde::ContainerWriter cw(IndexKind::kSpecial);
+  Writer& opts = cw.AddSection(serde::kTagOptions);
+  opts.PutU32(3);  // max_short_depth
+  opts.PutU8(0);   // rmq_engine: block
+  opts.PutU8(1);   // use_rmq
+  opts.PutU8(long_levels);
+  opts.PutU64(0);  // scan_cutoff
+  serde::EncodeUncertainString(s, &cw.AddSection(serde::kTagSource));
+  return std::move(cw).Finish();
+}
+
+TEST(SerdeCorruptionTest, SpecialLegacyLongLevelFlag) {
+  UncertainString s;
+  for (int i = 0; i < 40; ++i) {
+    s.AddPosition({{static_cast<uint8_t>('a' + i % 3), (1 + i % 8) / 8.0}});
+  }
+  const std::string legacy = SpecialBlobWithLongLevelByte(s, 0);
+  const auto loaded = SpecialIndex::Load(legacy);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto current = SpecialIndex::Load(SpecialBlobWithLongLevelByte(s, 1));
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  for (const char* pattern : {"abcab", "bcabca", "cabcabca"}) {
+    std::vector<Match> a, b;
+    ASSERT_TRUE(loaded->Query(pattern, 0.0001, &a).ok());
+    ASSERT_TRUE(current->Query(pattern, 0.0001, &b).ok());
+    EXPECT_FALSE(a.empty()) << pattern;
+    EXPECT_EQ(a, b) << pattern;
+  }
+  EXPECT_TRUE(SpecialIndex::Load(SpecialBlobWithLongLevelByte(s, 2))
+                  .status()
+                  .IsCorruption());
+}
+
 TEST(SerdeCorruptionTest, HostileShardManifestsFail) {
   // A hand-built "SHRD" container with one valid nested shard blob and a
   // hostile manifest; every variant must fail the manifest validation (the

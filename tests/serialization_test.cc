@@ -582,6 +582,22 @@ TEST(SerializationGoldenTest, LargeSaveBytesArePinnedAtEveryThreadCount) {
   }
 }
 
+TEST(SerializationGoldenTest, SpecialSaveBytesArePinned) {
+  constexpr GoldenBytes kWant[] = {
+      {"special", 2, 698, 0x65a22bc363a79eb1ull},
+      {"special", 3, 712, 0xe4a13f63f01551a8ull},
+  };
+  const auto index = SpecialIndex::Build(
+      SpecialString(InputCase::kCorrelated, 44), SpecialIndexOptions{});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  size_t i = 0;
+  for (const uint32_t version : kGoldenVersions) {
+    std::string blob;
+    ASSERT_TRUE(index->Save(&blob, version).ok());
+    ExpectGolden(kWant[i++], blob);
+  }
+}
+
 TEST(SerializationGoldenTest, ListingSaveBytesArePinned) {
   constexpr GoldenBytes kWant[] = {
       {"listing", 2, 180771, 0x3e3fdf9a781c7e16ull},

@@ -593,6 +593,7 @@ TEST(ServingEngineReloadTest, ReloadUnderTrafficLosesNoRequests) {
   constexpr size_t kClients = 6;
   std::vector<std::future<ServingEngine::Result>> futures(queries.size());
   std::atomic<bool> done{false};
+  std::atomic<bool> swapped_once{false};
   std::thread reloader([&] {
     uint64_t n = 0;
     while (!done.load(std::memory_order_relaxed)) {
@@ -601,6 +602,7 @@ TEST(ServingEngineReloadTest, ReloadUnderTrafficLosesNoRequests) {
       EXPECT_TRUE(next.ok()) << next.status().ToString();
       const Status swapped = engine.Reload(std::move(*next));
       EXPECT_TRUE(swapped.ok()) << swapped.ToString();
+      swapped_once.store(true);
       ++n;
       std::this_thread::yield();
     }
@@ -610,6 +612,13 @@ TEST(ServingEngineReloadTest, ReloadUnderTrafficLosesNoRequests) {
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = c; i < queries.size(); i += kClients) {
+        // The second half of the traffic waits for the first swap, so some
+        // requests always run against a reloaded generation however the
+        // threads are scheduled (a fast client could otherwise submit
+        // everything before the reloader finishes one load).
+        while (i >= queries.size() / 2 && !swapped_once.load()) {
+          std::this_thread::yield();
+        }
         futures[i] = engine.Submit(queries[i]);
       }
     });

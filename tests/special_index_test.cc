@@ -164,6 +164,43 @@ TEST(SpecialIndexTest, LongPatternsUseBlockLevels) {
   }
 }
 
+TEST(SpecialIndexTest, CorrelatedLongPatternsMatchOracle) {
+  // The long path (block levels past K = 3, no scan shortcut) resolves
+  // correlation rules exactly like the short path and the oracle.
+  test::PropertySweepSpec spec;
+  spec.lengths = {40, 200};
+  spec.correlation_counts = {1, 3};
+  test::RunPropertySweep(spec, [](const test::SweepConfig& config) {
+    UncertainString s = RandomSpecial(config.s.size(), config.alphabet,
+                                      config.seed);
+    ASSERT_GT(test::AddRandomCorrelations(&s, config.num_correlations,
+                                          config.seed * 977 + 13),
+              0);
+    SpecialIndexOptions options;
+    options.max_short_depth = 3;
+    options.scan_cutoff = 0;
+    const auto index = SpecialIndex::Build(s, options);
+    ASSERT_TRUE(index.ok()) << config.label;
+    // Every window of up to 12 characters, so windows holding a rule with
+    // and without its dependency are all queried.
+    for (int64_t start = 0; start < s.size(); ++start) {
+      for (size_t len = 1; len <= 12; ++len) {
+        if (start + static_cast<int64_t>(len) > s.size()) break;
+        const std::string pattern =
+            test::PatternFromString(s, start, len, config.seed);
+        for (const double tau : {0.001, 0.05}) {
+          std::vector<Match> got;
+          ASSERT_TRUE(index->Query(pattern, tau, &got).ok());
+          ASSERT_TRUE(
+              test::SameMatches(got, BruteForceSearch(s, pattern, tau)))
+              << config.label << " '" << pattern << "' tau=" << tau
+              << "\n got: " << test::MatchesToString(got);
+        }
+      }
+    }
+  });
+}
+
 TEST(SpecialIndexTest, CorrelationHandledAtValidation) {
   // §4.1 "Handling Correlation" on a special string: z at position 2
   // depends on e at position 0 (Figure 4 layout, one char per position).
